@@ -8,7 +8,7 @@ machine-readable twin ``benchmarks/results/BENCH_<experiment>.json``
 :func:`phase_breakdown` of a traced run) so downstream tooling never
 has to scrape the text tables.
 
-The Eµ (``emu_*``), Ec (``ec_*``), and runtime (``async_*``)
+The Eµ (``emu_*``), Ec (``ec_*``), and timing (``timing_*``)
 experiments are the performance trajectory of the repo, so their
 JSON artifacts are *also*
 written/refreshed at the repository root as canonical ``BENCH_*.json``
@@ -29,7 +29,7 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Experiment-name prefixes whose BENCH json is mirrored at the root.
-ROOT_BENCH_PREFIXES = ("emu_", "ec_", "async_", "timing_")
+ROOT_BENCH_PREFIXES = ("emu_", "ec_", "timing_")
 
 BENCH_JSON_VERSION = 1
 

@@ -8,9 +8,10 @@ see ``repro.obs.timing``):
    expectation ``rounds * E[max of (n-1) samples]``?  Virtual time is
    deterministic given the seed, so the makespan columns are exact
    gating metrics: any drift means the clock semantics changed.
-2. *Overhead* — what does stamping the trace cost?  The async engine
-   advances virtual clocks whether or not a tracer is attached, so the
-   traced/untraced ratio isolates the cost of event recording itself.
+2. *Overhead* — what does stamping the trace cost?  Under a network
+   model the engine advances virtual clocks whether or not a tracer is
+   attached, so the traced/untraced ratio isolates the cost of event
+   recording itself.
 
 The observed-makespan and predicted-makespan columns are deterministic
 (bench-check gates on them); the wall-clock overhead column is
@@ -28,7 +29,7 @@ from _common import report
 from repro.network import RoundOutput, run_protocol
 from repro.network.runtime import (
     FixedLatency,
-    InMemoryAsyncTransport,
+    NetworkModel,
     UniformLatency,
     ZeroLatency,
 )
@@ -64,11 +65,9 @@ def _models():
 
 
 def _run(n: int, latency, tracer=None):
-    transport = InMemoryAsyncTransport(latency=latency, seed=7)
+    network = NetworkModel(latency=latency, seed=7)
     start = time.perf_counter()
-    result = run_protocol(
-        _mesh_programs(n), transport=transport, tracer=tracer
-    )
+    result = run_protocol(_mesh_programs(n), network=network, tracer=tracer)
     return time.perf_counter() - start, result
 
 
@@ -114,8 +113,8 @@ def test_timing_observatory(benchmark):
         ["config", "rounds", "observed makespan ms", "predicted makespan ms",
          "delta %", "trace overhead"],
         rows,
-        notes="virtual makespans are deterministic given the transport\n"
-              "seed, so the makespan columns gate clock-semantics\n"
+        notes="virtual makespans are deterministic given the network\n"
+              "model's seed, so the makespan columns gate clock-semantics\n"
               "regressions exactly; the overhead column (traced / untraced\n"
               "wall clock, best of {r}) is informational — the engine\n"
               "advances virtual clocks either way, tracing only adds event\n"

@@ -134,21 +134,26 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         corrupt = {
             args.n - 1: jamming_material(params, random.Random(args.seed))
         }
-    transport = args.transport
+    network = None
     if args.latency_ms or args.jitter_ms:
-        if args.transport == "lockstep":
-            print("trace-run: --latency-ms/--jitter-ms need the async "
-                  "transport (drop --transport lockstep)", file=sys.stderr)
-            return 2
-        from repro.network.runtime import InMemoryAsyncTransport
-        from repro.network.runtime.models import FixedLatency, UniformLatency
-
-        latency = (
-            UniformLatency(base_ms=args.latency_ms, jitter_ms=args.jitter_ms)
-            if args.jitter_ms
-            else FixedLatency(base_ms=args.latency_ms)
+        from repro.network.runtime.models import (
+            FixedLatency,
+            NetworkModel,
+            UniformLatency,
         )
-        transport = InMemoryAsyncTransport(latency=latency, seed=args.seed)
+
+        try:
+            latency = (
+                UniformLatency(
+                    base_ms=args.latency_ms, jitter_ms=args.jitter_ms
+                )
+                if args.jitter_ms
+                else FixedLatency(base_ms=args.latency_ms)
+            )
+        except ValueError as exc:
+            print(f"trace-run: {exc}", file=sys.stderr)
+            return 2
+        network = NetworkModel(latency=latency, seed=args.seed)
     tracer = Tracer()
     run_anonchan(
         params,
@@ -157,7 +162,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         corrupt_materials=corrupt,
         tracer=tracer,
-        transport=transport,
+        network=network,
     )
     report = RunReport.from_events(tracer.events)
     if args.out:
@@ -531,14 +536,9 @@ def main(argv: list[str] | None = None) -> int:
                    help="also export the event stream as JSONL")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON instead of text")
-    p.add_argument("--transport", default=None,
-                   choices=["lockstep", "async"],
-                   help="execution engine (default: lockstep, or "
-                   "REPRO_DEFAULT_TRANSPORT); traces are transport-"
-                   "agnostic, so either engine yields the same stream")
     p.add_argument("--latency-ms", type=float, default=0.0, metavar="MS",
-                   help="per-message base link latency; implies the async "
-                   "transport and stamps v4 virtual times on the trace")
+                   help="per-message base link latency; stamps non-zero "
+                   "v4 virtual times on the trace")
     p.add_argument("--jitter-ms", type=float, default=0.0, metavar="MS",
                    help="uniform per-message jitter on top of --latency-ms")
     p.set_defaults(fn=_cmd_trace_run)

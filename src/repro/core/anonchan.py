@@ -38,6 +38,7 @@ from repro.fields import FieldElement
 from repro.network import (
     Adversary,
     ExecutionResult,
+    NetworkModel,
     PassiveAdversary,
     Program,
     RoundOutput,
@@ -402,7 +403,7 @@ def run_anonchan(
     count_elements: bool = True,
     tracer: Tracer | None = None,
     profiler: "OpProfiler | None" = None,
-    transport: Any = None,
+    network: NetworkModel | None = None,
 ) -> ExecutionResult:
     """Convenience runner for one AnonChan execution.
 
@@ -417,11 +418,9 @@ def run_anonchan(
     per-round accounting.  ``profiler`` counts compute ops for the
     execution (installed globally and on the protocol field for the
     run's duration); its records are folded into the trace as ``prof``
-    events right before ``run_end``.  ``transport`` selects the
-    execution engine (a :class:`~repro.network.runtime.Transport`
-    instance, a registered name, or ``None`` for the default); traces
-    are transport-agnostic by design, so equivalent runs compare
-    byte-identical across transports.
+    events right before ``run_end``.  ``network`` is the optional
+    :class:`~repro.network.runtime.models.NetworkModel` (latency,
+    compute and link faults) the simulator runs the parties over.
     """
     protocol = AnonChan(params, vss, receiver=receiver)
     session = vss.new_session(random.Random(seed ^ 0x5EED))
@@ -508,7 +507,7 @@ def run_anonchan(
                 adversary=adversary,
                 count_elements=count_elements,
                 tracer=tracer,
-                transport=transport,
+                network=network,
             )
         if tracer is not None:
             tracer.record_profile(profiler.records())
@@ -518,7 +517,7 @@ def run_anonchan(
             adversary=adversary,
             count_elements=count_elements,
             tracer=tracer,
-            transport=transport,
+            network=network,
         )
     if tracer is not None:
         tracer.run_end(

@@ -576,8 +576,8 @@ class TableCache:
     must not share entries (regression-tested).
 
     Entries are immutable once inserted (numpy tables are marked
-    read-only) and lookups are lock-guarded, so concurrent sessions on
-    the asyncio runtime can share the cache; eviction is LRU with a
+    read-only) and lookups are lock-guarded, so concurrent sessions
+    can share the cache; eviction is LRU with a
     generous bound — point sets are per-scheme, not per-execution.
     """
 

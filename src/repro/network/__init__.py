@@ -2,8 +2,9 @@
 
 Protocols are written as generator *programs* (see
 :mod:`~repro.network.program`); :func:`run_protocol` executes one
-program per party under an optional active adversary and returns honest
-outputs plus round/broadcast accounting.
+program per party under an optional active adversary (and an optional
+:class:`NetworkModel` of latency, compute and link faults) and returns
+honest outputs plus round/broadcast accounting.
 """
 
 from .adversary import (
@@ -25,13 +26,7 @@ from .faults import (
 from .messages import RoundInput, RoundOutput, SizedPayload, payload_size
 from .metrics import ProtocolMetrics
 from .program import Program, map_result, parallel, sequence, silent_rounds
-from .runtime import (
-    InMemoryAsyncTransport,
-    LockstepTransport,
-    Transport,
-    register_transport,
-    resolve_transport,
-)
+from .runtime import NetworkModel
 from .simulator import ExecutionResult, ProtocolViolation, run_protocol
 
 __all__ = [
@@ -53,11 +48,7 @@ __all__ = [
     "ExecutionResult",
     "ProtocolViolation",
     "run_protocol",
-    "Transport",
-    "LockstepTransport",
-    "InMemoryAsyncTransport",
-    "register_transport",
-    "resolve_transport",
+    "NetworkModel",
     "crash_after",
     "drop_messages",
     "garble_everything",

@@ -29,8 +29,8 @@ class ProtocolMetrics:
     field_elements_sent:
         Approximate bandwidth in field elements (private + broadcast).
     makespan_ms:
-        End-to-end virtual duration of the execution under the
-        transport's latency/compute models (``0.0`` for lockstep and
+        End-to-end virtual duration of the execution under its
+        network model's latency/compute (``0.0`` without a model and
         other zero-model runs — virtual time then degenerates to the
         round schedule).
     """

@@ -1,50 +1,38 @@
-"""Pluggable party runtime: transports executing the round model.
+"""Network models and per-round engine pieces of the synchronous loop.
 
-Importing this package registers the built-in transports
-(``"lockstep"`` and ``"async"``); :func:`resolve_transport` turns a
-``transport=`` argument (instance, name, or ``None`` for the default)
-into a live :class:`Transport`.
+:func:`~repro.network.simulator.run_protocol` is the execution engine;
+this package holds what it runs on: the latency, compute and fault
+models bundled in a :class:`NetworkModel`, and the per-round delivery,
+timing and tracing functions of :mod:`.engine`.
 """
 
-from .asyncio_runtime import InMemoryAsyncTransport
-from .base import (
-    DEFAULT_TRANSPORT_ENV,
-    TRANSPORTS,
-    ExecutionResult,
-    ProtocolViolation,
-    Transport,
-    register_transport,
-    resolve_transport,
-)
 from .engine import cached_payload_size
-from .lockstep import LockstepTransport
 from .models import (
+    ComputeModel,
     Crash,
     Delay,
     FixedLatency,
     LatencyModel,
+    LinearCost,
     LinkFault,
+    NetworkModel,
     Partition,
     ReorderWithinRound,
     UniformLatency,
+    ZeroCost,
     ZeroLatency,
 )
 
 __all__ = [
-    "Transport",
-    "TRANSPORTS",
-    "DEFAULT_TRANSPORT_ENV",
-    "register_transport",
-    "resolve_transport",
-    "ExecutionResult",
-    "ProtocolViolation",
-    "LockstepTransport",
-    "InMemoryAsyncTransport",
+    "NetworkModel",
     "cached_payload_size",
     "LatencyModel",
     "ZeroLatency",
     "FixedLatency",
     "UniformLatency",
+    "ComputeModel",
+    "ZeroCost",
+    "LinearCost",
     "LinkFault",
     "Delay",
     "Partition",

@@ -1,28 +1,28 @@
-"""Shared per-round engine for all transports.
+"""Per-round pieces of the synchronous execution engine.
 
-Every transport realizes the same synchronous-round semantics: honest
-outputs are fixed first (rushing), the adversary acts, all outputs are
-delivered according to the model's channel guarantees, and the round is
-accounted and traced identically.  This module is that common core —
-:class:`~repro.network.runtime.lockstep.LockstepTransport` and the
-asyncio runtime both call these helpers, so metrics and trace events
-agree bit-for-bit across transports by construction.
+:func:`~repro.network.simulator.run_protocol` realizes the paper's
+synchronous-round semantics: honest outputs are fixed first (rushing),
+the adversary acts, all outputs are delivered according to the model's
+channel guarantees, and the round is accounted and traced.  This module
+holds those per-round steps as plain functions — delivery, link faults,
+delay sampling, arrival order, virtual time and trace emission — so
+each is testable on its own and the engine loop stays short.
 
-Lamport stamping lives here (the transport layer), not in protocol
+Lamport stamping lives here (the delivery layer), not in protocol
 code: logical clocks are a property of *delivery*, and keeping them
 next to the delivery computation is what lets causal ordering survive
-once delivery stops being lockstep.
+any arrival order a network model produces.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Mapping, Sequence
 
 from ..adversary import RushedView
 from ..messages import LamportClock, RoundOutput, payload_size
-from .models import ComputeModel, LatencyModel, LinkFault
+from .models import ComputeModel, Crash, LatencyModel, LinkFault
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> network)
     from repro.obs import Tracer
@@ -78,10 +78,9 @@ def rushed_view(
 class Delivery:
     """One round's delivery plan plus its bandwidth accounting.
 
-    ``inboxes`` preserves the transports' canonical delivery order
-    (sender iteration order of ``all_outputs``): programs may iterate
-    their inbox, so insertion order is part of bit-for-bit
-    reproducibility across transports.
+    ``inboxes`` preserves the canonical delivery order (sender
+    iteration order of ``all_outputs``): programs may iterate their
+    inbox, so insertion order is part of bit-for-bit reproducibility.
     """
 
     broadcasts: dict[int, Any]
@@ -145,9 +144,9 @@ class VirtualClock:
     ``ready[p]`` is the earliest virtual instant at which party ``p``
     can act on everything delivered to it so far — the happens-before
     closure of all message chains ending at ``p``.  Under the zero
-    latency/compute models every entry stays ``0.0``, which is how the
-    lockstep transport keeps its traces bit-identical modulo the new
-    timing fields.
+    latency/compute models every entry stays ``0.0``, which is how a
+    run without a network model keeps its traces bit-identical modulo
+    the timing fields.
     """
 
     ready: dict[int, float] = field(default_factory=dict)
@@ -175,6 +174,40 @@ class RoundTiming:
     t_end: float
     sends: Mapping[int, float]
     arrivals: Mapping[tuple[int, int], float]
+
+
+def apply_link_faults(
+    all_outputs: Mapping[int, RoundOutput],
+    round_index: int,
+    link_faults: Sequence[LinkFault],
+) -> dict[int, RoundOutput]:
+    """Drop faulted private messages; dropped traffic is not counted.
+
+    Crashed senders are removed wholesale (``Crash.drops`` matches
+    every link either way); broadcasts survive partitions — the
+    physical broadcast channel is a separate medium.
+    """
+    effective: dict[int, RoundOutput] = {}
+    for sender, out in all_outputs.items():
+        if any(
+            isinstance(f, Crash) and f.crashed(round_index, sender)
+            for f in link_faults
+        ):
+            continue
+        kept = {
+            recipient: payload
+            for recipient, payload in out.private.items()
+            if not any(
+                f.drops(round_index, sender, recipient) for f in link_faults
+            )
+        }
+        if len(kept) == len(out.private):
+            effective[sender] = out
+        else:
+            effective[sender] = RoundOutput(
+                private=kept, broadcast=out.broadcast
+            )
+    return effective
 
 
 def sample_delays(
@@ -213,6 +246,38 @@ def sample_delays(
                 delay += fault.extra_delay_ms(round_index, sender, recipient)
             delays[(sender, recipient)] = delay
     return delays
+
+
+def arrival_inboxes(
+    rng: random.Random,
+    all_outputs: Mapping[int, RoundOutput],
+    delivery: Delivery,
+    recipients: Collection[int],
+    shuffle: bool,
+) -> dict[int, dict[int, Any]]:
+    """Each recipient's inbox, keyed by sender in arrival order.
+
+    Messages arrive by ``(delay, send order)``, where send order is the
+    canonical sender-then-payload iteration of ``all_outputs`` — so
+    under equal delays the inboxes equal ``delivery.inboxes``.  With
+    ``shuffle`` set (``ReorderWithinRound``) the round's whole arrival
+    plan is one seeded shuffle instead.
+    """
+    delays = delivery.delays or {}
+    plan: list[tuple[float, int, int, int, Any]] = []
+    for sender, out in all_outputs.items():
+        for recipient, payload in out.private.items():
+            if recipient in recipients:
+                delay = delays.get((sender, recipient), 0.0)
+                plan.append((delay, len(plan), sender, recipient, payload))
+    if shuffle:
+        rng.shuffle(plan)
+    else:
+        plan.sort(key=lambda entry: (entry[0], entry[1]))
+    inboxes: dict[int, dict[int, Any]] = {pid: {} for pid in recipients}
+    for _delay, _seq, sender, recipient, payload in plan:
+        inboxes[recipient][sender] = payload
+    return inboxes
 
 
 def advance_virtual_time(
@@ -294,7 +359,6 @@ def record_round_observability(
     delivery: Delivery,
     count_elements: bool,
     timing: RoundTiming | None = None,
-    t_wall_ms: float | None = None,
 ) -> None:
     """Emit one round's trace events and advance the Lamport clocks.
 
@@ -304,14 +368,11 @@ def record_round_observability(
     event's ``elements``), then the ``round`` event with the per-party
     breakdown.  Clocks tick once per sending party per round and merge
     on receipt, so stamps stay consistent with happens-before under any
-    delivery order a transport produces.
+    arrival order a network model produces.
 
     When ``timing`` is given (v4), msg events are stamped with their
     virtual send/arrival instants and the round event with its virtual
-    window — the same values for both transports under zero models, so
-    transport equivalence holds on full canonical lines.  ``t_wall_ms``
-    additionally records the coordinator's wall-clock round timestamp
-    in realtime mode.
+    window.
     """
     inboxes = delivery.inboxes
     broadcasts = delivery.broadcasts
@@ -393,7 +454,6 @@ def record_round_observability(
         per_party={str(pid): per_party[pid] for pid in sorted(per_party)},
         t_start=timing.t_start if timing is not None else None,
         t_end=timing.t_end if timing is not None else None,
-        t_wall_ms=t_wall_ms,
     )
     # Lamport receive events: each party merges the stamps of
     # everything delivered to it (private + broadcast), so its next

@@ -1,22 +1,43 @@
-"""Latency, bandwidth, and fault models for asynchronous transports.
+"""Latency, compute and fault models of the synchronous engine.
 
-The async runtime separates *what* is delivered (the engine's channel
-guarantees, identical across transports) from *when* and *whether* each
-message arrives.  Latency models answer "when": each private message
-gets a virtual delay sampled from the transport's seeded rng, which
-determines arrival order within a round (and real sleep time in
-wall-clock mode).  Fault models answer "whether": link faults drop or
-further delay specific messages, and crash faults halt whole parties.
+The engine separates *what* is delivered (the channel guarantees) from
+*when* and *whether* each message arrives.  Latency models answer
+"when": each private message gets a virtual delay sampled from the
+run's seeded rng, which determines arrival order within a round.
+Compute models charge each party local work before it sends.  Fault
+models answer "whether": link faults drop or further delay specific
+messages, and crash faults halt whole parties.  A
+:class:`NetworkModel` bundles one of each for
+:func:`~repro.network.simulator.run_protocol`.
 
 All models are frozen dataclasses sampled through an explicit
-``random.Random`` — no global entropy, so a seeded async run is exactly
-replayable.
+``random.Random`` — no global entropy, so a seeded run is exactly
+replayable.  Their parameters are virtual milliseconds (or elements
+per millisecond) and must be finite and non-negative.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+
+
+def _check_non_negative(model: object, *names: str) -> None:
+    """Reject negative or non-finite model parameters.
+
+    A negative delay would stamp arrivals before their sends, and a
+    negative jitter is ignored by sampling while ``describe()`` still
+    reports it — both break the timing report's causality and its
+    predicted makespan.
+    """
+    for name in names:
+        value = getattr(model, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"{type(model).__name__}.{name} must be finite and "
+                f">= 0, got {value!r}"
+            )
 
 
 class LatencyModel:
@@ -36,8 +57,8 @@ class LatencyModel:
         """Public parameters, embedded in the trace's timing-model note.
 
         The timing observatory (:mod:`repro.obs.timing`) reads this back
-        to compute the analytic predicted makespan, so two transports
-        with equivalent timing semantics must describe identically.
+        to compute the analytic predicted makespan, so models with
+        equivalent timing semantics must describe identically.
         """
         raise NotImplementedError
 
@@ -54,7 +75,7 @@ class LatencyModel:
 
 @dataclass(frozen=True)
 class ZeroLatency(LatencyModel):
-    """Instant delivery: arrival order equals send order (lockstep)."""
+    """Instant delivery: arrival order equals send order."""
 
     def sample(
         self,
@@ -78,6 +99,9 @@ class FixedLatency(LatencyModel):
     """Constant per-message delay (a uniform-RTT datacenter link)."""
 
     base_ms: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self, "base_ms")
 
     def sample(
         self,
@@ -109,6 +133,9 @@ class UniformLatency(LatencyModel):
     base_ms: float = 1.0
     jitter_ms: float = 0.0
     elements_per_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self, "base_ms", "jitter_ms", "elements_per_ms")
 
     def sample(
         self,
@@ -152,7 +179,7 @@ class ComputeModel:
     Charged once per party per round *before* its messages are put on
     the wire: a party becomes ready at ``max(inbound arrivals)`` and
     sends at ``ready + cost_ms(...)``.  The reference model is zero so
-    lockstep virtual time degenerates to the round schedule itself.
+    virtual time degenerates to the round schedule itself.
     """
 
     def cost_ms(
@@ -170,7 +197,7 @@ class ComputeModel:
 
 @dataclass(frozen=True)
 class ZeroCost(ComputeModel):
-    """Free local computation (the lockstep/reference model)."""
+    """Free local computation (the reference model)."""
 
     def cost_ms(
         self,
@@ -196,6 +223,9 @@ class LinearCost(ComputeModel):
 
     per_round_ms: float = 0.0
     per_element_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self, "per_round_ms", "per_element_ms")
 
     def cost_ms(
         self,
@@ -237,6 +267,9 @@ class Delay(LinkFault):
     rounds: tuple[int, int] | None = None
     senders: frozenset[int] | None = None
     recipients: frozenset[int] | None = None
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self, "delay_ms")
 
     def _matches(self, round_index: int, sender: int, recipient: int) -> bool:
         if self.rounds is not None:
@@ -282,7 +315,7 @@ class Crash(LinkFault):
 
     From that round on the party neither sends nor receives; its
     program is left suspended and it produces no output (a fail-stop
-    fault, the async analogue of an honest party going dark).
+    fault: an honest party going dark).
     """
 
     pid: int
@@ -301,9 +334,9 @@ class Crash(LinkFault):
 class ReorderWithinRound(LinkFault):
     """Adversarial reordering: shuffle each inbox's arrival order.
 
-    Marker fault consumed by the transport (it has no per-link effect):
-    for matching ``rounds`` the transport applies a seeded shuffle to
-    every recipient's delivery order instead of latency ordering.
+    Marker fault consumed by the engine (it has no per-link effect):
+    for matching ``rounds`` the engine applies a seeded shuffle to the
+    round's arrival order instead of latency ordering.
     """
 
     rounds: tuple[int, int] | None = None
@@ -313,3 +346,21 @@ class ReorderWithinRound(LinkFault):
             return True
         lo, hi = self.rounds
         return lo <= round_index < hi
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """The network a synchronous run executes over.
+
+    ``latency`` is sampled per delivered private message from a
+    ``random.Random(seed)`` private to the run; ``compute`` charges each
+    sending party before its messages hit the wire; ``faults`` are
+    applied every round.  The defaults (zero latency, zero compute, no
+    faults) reproduce a run without a model, with every virtual stamp
+    at ``0.0``.
+    """
+
+    latency: LatencyModel = ZeroLatency()
+    compute: ComputeModel = ZeroCost()
+    faults: tuple[LinkFault, ...] = ()
+    seed: int = 0

@@ -68,7 +68,6 @@ class NullTracer:
         per_party: dict[str, Any] | None = None,
         t_start: float | None = None,
         t_end: float | None = None,
-        t_wall_ms: float | None = None,
     ) -> None:
         return None
 
@@ -88,7 +87,6 @@ class NullTracer:
         self,
         latency: dict[str, Any],
         compute: dict[str, Any],
-        realtime: bool = False,
     ) -> None:
         return None
 
@@ -136,7 +134,7 @@ class Tracer:
         self._stack: list[str] = []
         self._next_round = 0
         # Virtual time (ms) as of the last completed round; None until a
-        # transport declares its timing model, so legacy/hand-driven
+        # run declares its timing model, so legacy/hand-driven
         # tracers keep emitting timestamp-free (pre-v4-style) spans.
         self._t_virtual: float | None = None
 
@@ -208,7 +206,6 @@ class Tracer:
         per_party: dict[str, Any] | None = None,
         t_start: float | None = None,
         t_end: float | None = None,
-        t_wall_ms: float | None = None,
     ) -> None:
         """Account one completed synchronous round (simulator hook).
 
@@ -217,9 +214,8 @@ class Tracer:
         point-to-point payload count and total field-element volume;
         ``per_party`` optionally breaks both down by sending party
         (string-keyed for JSON stability).  ``t_start``/``t_end`` are
-        the round's virtual-time window in ms (schema v4), and
-        ``t_wall_ms`` the coordinator's wall-clock stamp in realtime
-        mode; all three are omitted from the event when ``None``.
+        the round's virtual-time window in ms (schema v4), omitted from
+        the event when ``None``.
         """
         attrs: dict[str, Any] = {
             "broadcasters": list(broadcasters),
@@ -233,8 +229,6 @@ class Tracer:
         if t_end is not None:
             attrs["t_end"] = t_end
             self._t_virtual = t_end
-        if t_wall_ms is not None:
-            attrs["t_wall_ms"] = t_wall_ms
         self._push("round", "round", attrs, round_index, self.current_phase)
         self._next_round = round_index + 1
 
@@ -276,22 +270,21 @@ class Tracer:
         self,
         latency: dict[str, Any],
         compute: dict[str, Any],
-        realtime: bool = False,
     ) -> None:
-        """Declare the run's timing model (transport hook, schema v4).
+        """Declare the run's timing model (simulator hook, schema v4).
 
         Emits the ``timing-model`` note carrying the latency and
         compute models' public parameters (their ``describe()`` dicts)
-        and arms virtual-time stamping of subsequent span events.  Both
-        transports emit this with model-only attributes — never the
-        transport's name — so lockstep and async runs under equivalent
-        models stay canonically identical.
+        and arms virtual-time stamping of subsequent span events.  The
+        note is model-only: runs under equivalent models stay
+        canonically identical.  ``realtime`` is always ``false`` (the
+        v4 schema keeps the attribute; every timestamp is virtual).
         """
         self._t_virtual = 0.0
         self._push(
             "note",
             "timing-model",
-            {"latency": latency, "compute": compute, "realtime": realtime},
+            {"latency": latency, "compute": compute, "realtime": False},
             self._next_round,
             self.current_phase,
         )

@@ -123,12 +123,6 @@ def configure_parser(p: argparse.ArgumentParser) -> None:
         "--json", action="store_true",
         help="print the canonical JSON report instead of the summary",
     )
-    p.add_argument(
-        "--transport", metavar="NAME", default=None,
-        help="override the transport axis of every cell (e.g. "
-        "'async'); seeds are transport-independent, so the overridden "
-        "campaign replays the same trials on the other engine",
-    )
 
 
 def cmd_conformance(args: argparse.Namespace) -> int:
@@ -151,16 +145,6 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     else:
         configs = grid_configs(args.grid)
         grid_name = args.grid
-    if args.transport:
-        try:
-            configs = [
-                c.with_(transport=args.transport) for c in configs
-            ]
-            for c in configs:
-                c.validate()
-        except ValueError as exc:
-            print(f"conformance: bad --transport: {exc}", file=sys.stderr)
-            return 2
 
     def progress(result: ConfigResult) -> None:
         mark = "ok" if result.ok else "FAIL"

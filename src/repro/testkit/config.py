@@ -57,15 +57,6 @@ class CampaignConfig:
         How many parties (the highest non-receiver ids) are corrupted.
     trials:
         Seeded protocol executions to run for this cell.
-    transport:
-        Transport axis: a registered transport name
-        (``"lockstep" | "async"``).  Deliberately *excluded* from
-        :meth:`key` — the transport is an execution engine, not a
-        protocol identity — so same-shape cells derive the same seeds
-        on every transport and run the *same* seeded trials, which is
-        exactly the comparison the transport-equivalence suite makes.
-        The default also stays out of :meth:`to_dict`, keeping earlier
-        campaigns' reports and repro lines byte-stable.
     """
 
     name: str
@@ -80,7 +71,6 @@ class CampaignConfig:
     substrate: str = "auto"
     corrupt_count: int = 0
     trials: int = 2
-    transport: str = "lockstep"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -117,8 +107,7 @@ class CampaignConfig:
     def key(self) -> str:
         """Canonical identity string (the seed-derivation preimage).
 
-        ``name`` (cosmetic) and ``transport`` (execution engine — see
-        the attribute docs) are excluded on purpose.
+        ``name`` (cosmetic) is excluded on purpose.
         """
         return (
             f"n={self.n};t={self.t};d={self.d};ell={self.ell};"
@@ -138,13 +127,7 @@ class CampaignConfig:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        if self.transport == "lockstep":
-            # Default transport stays out of the serialized form so
-            # reports and --config repro lines from earlier campaigns
-            # round-trip unchanged.
-            del data["transport"]
-        return data
+        return asdict(self)
 
     def to_json(self) -> str:
         """Compact, key-sorted JSON (used by ``--config`` repro lines)."""
@@ -181,16 +164,9 @@ class CampaignConfig:
         cycle (axes builds materials from repro.core, which this module
         must stay importable from).
         """
-        from repro.network.runtime import TRANSPORTS
-
         from .axes import FAULTS, STRATEGIES
 
         self.params()  # raises ValueError on bad protocol parameters
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"known: {sorted(TRANSPORTS)}"
-            )
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; "

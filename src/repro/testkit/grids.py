@@ -130,31 +130,6 @@ def _smoke() -> list[CampaignConfig]:
             trials=2,
         )
     )
-    # Transport axis: the asyncio runtime must reproduce the lockstep
-    # semantics on representative honest/adversarial/faulted cells.
-    # Shapes deliberately mirror lockstep cells — transport is excluded
-    # from the identity key, so each async cell replays the *same*
-    # seeded trials as its lockstep twin.
-    configs.append(
-        CampaignConfig(
-            name="smoke/transport-async-honest", **b, num_checks=2,
-            transport="async", trials=4,
-        )
-    )
-    configs.append(
-        CampaignConfig(
-            name="smoke/transport-async-jamming", **b, num_checks=2,
-            strategy="jamming", corrupt_count=1, transport="async",
-            trials=4,
-        )
-    )
-    configs.append(
-        CampaignConfig(
-            name="smoke/transport-async-crash-share", **m, num_checks=2,
-            fault="crash-share", corrupt_count=1, transport="async",
-            trials=4,
-        )
-    )
     # Parameter-scale block.
     configs.extend(
         [
@@ -221,20 +196,18 @@ def grid_configs(name: str) -> list[CampaignConfig]:
     """The validated config list of a named grid.
 
     Raises ``KeyError`` for unknown grids and ``ValueError`` if a grid
-    cell is invalid or two cells collide on their identity key *and*
-    transport (same-key cells on different transports are the transport
-    axis working as intended — they deliberately replay the same
-    seeds; a same-key same-transport pair would silently reuse seeds).
+    cell is invalid or two cells collide on their identity key (a
+    same-key pair would silently reuse seeds).
     """
     if name not in GRIDS:
         raise KeyError(
             f"unknown grid {name!r}; known grids: {sorted(GRIDS)}"
         )
     configs = GRIDS[name]()
-    seen: dict[tuple[str, str], str] = {}
+    seen: dict[str, str] = {}
     for config in configs:
         config.validate()
-        key = (config.key(), config.transport)
+        key = config.key()
         if key in seen:
             raise ValueError(
                 f"grid {name!r}: configs {seen[key]!r} and "

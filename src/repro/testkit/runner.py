@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.anonchan import AnonChan, AnonChanOutput, run_anonchan
@@ -224,7 +224,6 @@ def run_config(
             seed=seed,
             adversary_factory=factory,
             tracer=tracer,
-            transport=config.transport,
         )
         runs += 1
         recv = _receiver_output(result.outputs)
@@ -298,7 +297,7 @@ def _timing_conformance(
 ) -> tuple[bool, list[str]]:
     """Check the traced trial's virtual-time stamps for self-consistency.
 
-    Both transports stamp v4 virtual times, so a traced trial *must*
+    The simulator stamps v4 virtual times, so a traced trial *must*
     carry them; the trace-derived makespan must agree with the
     runtime's own :class:`~repro.network.metrics.ProtocolMetrics`
     accounting; round windows must be monotone; and when the analytic
@@ -372,7 +371,6 @@ def _anonymity_probe(
         seed=seed,
         adversary_factory=factory,
         tracer=None,
-        transport=config.transport,
     )
     ok = _metrics_fingerprint(twin) == _metrics_fingerprint(original)
     twin_recv = _receiver_output(twin.outputs)

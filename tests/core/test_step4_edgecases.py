@@ -18,6 +18,7 @@ import repro.core.anonchan as anonchan_mod
 from repro.core import run_anonchan, scaled_parameters
 from repro.core.receiver import collect_step4_columns, pair_opened_coordinates
 from repro.fields import gf2k
+from repro.network import NetworkModel
 from repro.vss import IdealVSS
 from repro.vss.ideal import IdealVSSSession
 
@@ -107,14 +108,17 @@ class TestNoPassedProvers:
         assert calls == []  # reconstruction skipped entirely
 
     def test_transport_parity_when_no_passed_provers(self, monkeypatch):
-        """Both transports agree on the skip-reconstruction path."""
+        """A zero network model agrees with a plain run on the
+        skip-reconstruction path."""
         params = scaled_parameters(n=4, d=6, num_checks=3, kappa=16)
         vss = IdealVSS(params.field, params.n, params.t)
         msgs = {i: params.field(100 + i) for i in range(params.n)}
         monkeypatch.setattr(
             anonchan_mod, "stage2_passes", lambda values: False
         )
-        res_lock = run_anonchan(params, vss, msgs, seed=22, transport="lockstep")
-        res_async = run_anonchan(params, vss, msgs, seed=22, transport="async")
-        assert res_lock.outputs[0].output == res_async.outputs[0].output
-        assert res_lock.metrics == res_async.metrics
+        res_plain = run_anonchan(params, vss, msgs, seed=22)
+        res_zero = run_anonchan(
+            params, vss, msgs, seed=22, network=NetworkModel()
+        )
+        assert res_plain.outputs[0].output == res_zero.outputs[0].output
+        assert res_plain.metrics == res_zero.metrics

@@ -1,11 +1,12 @@
-"""Behavioral tests for the asyncio transport itself.
+"""Behavioral tests for network models in the synchronous engine.
 
-Covers what the equivalence suite cannot: fault injection (crash,
+These are the behaviours the per-party asyncio runtime introduced and
+the engine's ``network=`` argument now carries: fault injection (crash,
 partition, delay, reorder), max-round enforcement, party-error
 propagation, and the accounting property that per-round ``msg``-event
-volumes always sum to the ``round`` event's ``elements`` — on both
-transports, including under adaptive corruption and parties that
-terminate early.
+volumes always sum to the ``round`` event's ``elements`` — with and
+without a network model, including under adaptive corruption and
+parties that terminate early.
 """
 
 import random
@@ -14,13 +15,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.network import Adversary, RoundOutput, run_protocol
+from repro.network import Adversary, ProtocolViolation, RoundOutput, run_protocol
 from repro.network.runtime import (
     Crash,
     Delay,
-    InMemoryAsyncTransport,
+    NetworkModel,
     Partition,
-    ProtocolViolation,
     ReorderWithinRound,
     UniformLatency,
 )
@@ -47,18 +47,18 @@ def _sum_exchange(n: int, rounds: int = 3):
 class TestFaults:
     def test_crash_is_fail_stop(self):
         n = 5
-        transport = InMemoryAsyncTransport(faults=(Crash(pid=3, round_index=2),))
-        result = run_protocol(_sum_exchange(n), transport=transport)
+        network = NetworkModel(faults=(Crash(pid=3, round_index=2),))
+        result = run_protocol(_sum_exchange(n), network=network)
         assert set(result.outputs) == {0, 1, 2, 4}
         # Survivors keep running on whatever still arrives.
         assert all(isinstance(v, int) for v in result.outputs.values())
 
     def test_crash_messages_not_counted(self):
         n = 4
-        clean = run_protocol(_sum_exchange(n), transport="async")
+        clean = run_protocol(_sum_exchange(n), network=NetworkModel())
         crashed = run_protocol(
             _sum_exchange(n),
-            transport=InMemoryAsyncTransport(
+            network=NetworkModel(
                 faults=(Crash(pid=1, round_index=1),)
             ),
         )
@@ -70,13 +70,13 @@ class TestFaults:
     def test_partition_drops_cross_cut_only(self):
         n = 4
         tracer = Tracer(clock=lambda: 0)
-        transport = InMemoryAsyncTransport(
+        network = NetworkModel(
             faults=(Partition(group=frozenset({0, 1}), rounds=(1, 3)),)
         )
         result = run_protocol(
-            _sum_exchange(n), transport=transport, tracer=tracer
+            _sum_exchange(n), network=network, tracer=tracer
         )
-        clean = run_protocol(_sum_exchange(n), transport="async")
+        clean = run_protocol(_sum_exchange(n), network=NetworkModel())
         assert result.metrics.field_elements_sent < (
             clean.metrics.field_elements_sent
         )
@@ -103,10 +103,10 @@ class TestFaults:
             return (dict(inbox.broadcast), sorted(inbox.private))
 
         programs = {pid: prog(pid) for pid in range(n)}
-        transport = InMemoryAsyncTransport(
+        network = NetworkModel(
             faults=(Partition(group=frozenset({0}), rounds=(0, 10)),)
         )
-        result = run_protocol(programs, transport=transport)
+        result = run_protocol(programs, network=network)
         broadcasts, private_senders = result.outputs[0]
         # The isolated party still hears every broadcast...
         assert broadcasts == {pid: [pid * 10] for pid in range(n)}
@@ -115,11 +115,11 @@ class TestFaults:
 
     def test_delay_fault_keeps_outcomes(self):
         n = 4
-        delayed = InMemoryAsyncTransport(
+        delayed = NetworkModel(
             faults=(Delay(delay_ms=50.0, senders=frozenset({2})),)
         )
-        r_delayed = run_protocol(_sum_exchange(n), transport=delayed)
-        r_clean = run_protocol(_sum_exchange(n), transport="async")
+        r_delayed = run_protocol(_sum_exchange(n), network=delayed)
+        r_clean = run_protocol(_sum_exchange(n), network=NetworkModel())
         # Delays reorder arrivals but never drop: same sums, same totals.
         assert r_delayed.outputs == r_clean.outputs
         assert replace(r_delayed.metrics, makespan_ms=0.0) == r_clean.metrics
@@ -130,11 +130,11 @@ class TestFaults:
 
     def test_reorder_within_round_keeps_outcomes(self):
         n = 6
-        shuffled = InMemoryAsyncTransport(
+        shuffled = NetworkModel(
             faults=(ReorderWithinRound(),), seed=77
         )
-        r_shuf = run_protocol(_sum_exchange(n), transport=shuffled)
-        r_clean = run_protocol(_sum_exchange(n), transport="async")
+        r_shuf = run_protocol(_sum_exchange(n), network=shuffled)
+        r_clean = run_protocol(_sum_exchange(n), network=NetworkModel())
         assert r_shuf.outputs == r_clean.outputs
         assert r_shuf.metrics == r_clean.metrics
 
@@ -149,7 +149,7 @@ class TestProtocolDiscipline:
 
         programs = {pid: forever(3, pid) for pid in range(3)}
         with pytest.raises(ProtocolViolation, match="exceeded"):
-            run_protocol(programs, max_rounds=10, transport="async")
+            run_protocol(programs, max_rounds=10, network=NetworkModel())
 
     def test_party_exception_propagates(self):
         def faulty(pid: int):
@@ -159,7 +159,7 @@ class TestProtocolDiscipline:
 
         programs = {pid: faulty(pid) for pid in range(2)}
         with pytest.raises(RuntimeError, match="corrupted its own state"):
-            run_protocol(programs, transport="async")
+            run_protocol(programs, network=NetworkModel())
 
     def test_rushing_view_sees_honest_round(self):
         n = 3
@@ -177,12 +177,12 @@ class TestProtocolDiscipline:
         result = run_protocol(
             _sum_exchange(n, rounds=1),
             adversary=Rusher({2}),
-            transport="async",
+            network=NetworkModel(),
         )
         assert result.outputs == lock.outputs
         # Every round the rushing view exposed both honest senders'
         # payloads addressed to the corrupted party, pre-delivery —
-        # identically on both transports.
+        # identically with and without a network model.
         assert seen and all(set(v) == {0, 1} for v in seen)
         assert seen == seen_lock
 
@@ -205,9 +205,11 @@ def _msg_volume_matches_rounds(events) -> None:
 
 
 class TestAccountingProperty:
-    @pytest.mark.parametrize("transport", ["lockstep", "async"])
+    @pytest.mark.parametrize(
+        "network", [None, NetworkModel()], ids=["no-model", "zero-model"]
+    )
     @pytest.mark.parametrize("seed", range(6))
-    def test_msg_volume_sums_to_round_elements(self, transport, seed):
+    def test_msg_volume_sums_to_round_elements(self, network, seed):
         """Property: volumes reconcile under adaptive corruption and
         early-terminating parties, with empty and bulk payloads mixed in."""
         rng = random.Random(seed)
@@ -249,7 +251,7 @@ class TestAccountingProperty:
             programs,
             adversary=Adaptive(set()),
             tracer=tracer,
-            transport=transport,
+            network=network,
         )
         _msg_volume_matches_rounds(tracer.events)
         total = sum(
@@ -263,7 +265,7 @@ class TestAccountingProperty:
         """Dropped deliveries are uncounted on both sides of the ledger."""
         n = 5
         tracer = Tracer(clock=lambda: 0)
-        transport = InMemoryAsyncTransport(
+        network = NetworkModel(
             latency=UniformLatency(base_ms=1.0, jitter_ms=5.0),
             faults=(
                 Partition(group=frozenset({0, 1}), rounds=(1, 2)),
@@ -271,6 +273,6 @@ class TestAccountingProperty:
             ),
             seed=13,
         )
-        run_protocol(_sum_exchange(n, rounds=4), transport=transport,
+        run_protocol(_sum_exchange(n, rounds=4), network=network,
                      tracer=tracer)
         _msg_volume_matches_rounds(tracer.events)

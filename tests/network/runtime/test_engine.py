@@ -7,10 +7,21 @@ convention used for msg events.  With the sentinel-based cache,
 per-party volumes, msg events, and round totals agree by construction.
 """
 
+import math
 from collections import Counter
 
+import pytest
+
 from repro.network import RoundOutput, run_protocol
-from repro.network.runtime import cached_payload_size, engine
+from repro.network.runtime import (
+    Delay,
+    FixedLatency,
+    LinearCost,
+    NetworkModel,
+    UniformLatency,
+    cached_payload_size,
+    engine,
+)
 from repro.obs import Tracer
 
 
@@ -104,7 +115,6 @@ class TestDelaySampling:
         to be built."""
         import random as _random
 
-        from repro.network.runtime import UniformLatency
         from repro.network.runtime.engine import (
             compute_delivery,
             sample_delays,
@@ -134,7 +144,6 @@ class TestDelaySampling:
     def test_different_seeds_sample_different_delays(self):
         import random as _random
 
-        from repro.network.runtime import UniformLatency
         from repro.network.runtime.engine import (
             compute_delivery,
             sample_delays,
@@ -151,7 +160,6 @@ class TestDelaySampling:
         """The persisted offset is the message's complete transit time."""
         import random as _random
 
-        from repro.network.runtime import FixedLatency
         from repro.network.runtime.engine import (
             compute_delivery,
             sample_delays,
@@ -174,9 +182,7 @@ class TestDelaySampling:
 
     def test_persisted_delays_surface_as_trace_stamps(self):
         """End to end: every private msg event's t_recv - t_send equals
-        the fixed link latency the transport sampled and persisted."""
-        from repro.network.runtime import FixedLatency, InMemoryAsyncTransport
-
+        the fixed link latency the engine sampled and persisted."""
         n = 4
 
         def prog(pid):
@@ -193,9 +199,7 @@ class TestDelaySampling:
         run_protocol(
             {pid: prog(pid) for pid in range(n)},
             tracer=tracer,
-            transport=InMemoryAsyncTransport(
-                latency=FixedLatency(base_ms=2.5), seed=0
-            ),
+            network=NetworkModel(latency=FixedLatency(base_ms=2.5), seed=0),
         )
         private = [
             ev for ev in tracer.events
@@ -207,10 +211,8 @@ class TestDelaySampling:
 
     def test_equal_delays_preserve_lockstep_arrival_order(self):
         """Fixed latency ties every delay, so the (delay, seq) sort
-        falls back to sender order and inboxes iterate exactly as under
-        lockstep — arrival order is part of the reproducibility story."""
-        from repro.network.runtime import FixedLatency, InMemoryAsyncTransport
-
+        falls back to sender order and inboxes iterate exactly as without
+        a model — arrival order is part of the reproducibility story."""
         n = 5
 
         def order_probe(pid):
@@ -225,8 +227,30 @@ class TestDelaySampling:
         lock = run_protocol(mk())
         fixed = run_protocol(
             mk(),
-            transport=InMemoryAsyncTransport(
-                latency=FixedLatency(base_ms=3.0), seed=9
-            ),
+            network=NetworkModel(latency=FixedLatency(base_ms=3.0), seed=9),
         )
         assert lock.outputs == fixed.outputs
+
+
+class TestModelValidation:
+    """Model parameters are virtual durations and rates: finite, >= 0."""
+
+    @pytest.mark.parametrize("bad", [-5.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda v: FixedLatency(base_ms=v),
+        lambda v: UniformLatency(base_ms=v),
+        lambda v: UniformLatency(jitter_ms=v),
+        lambda v: UniformLatency(elements_per_ms=v),
+        lambda v: LinearCost(per_round_ms=v),
+        lambda v: LinearCost(per_element_ms=v),
+        lambda v: Delay(delay_ms=v),
+    ])
+    def test_rejects_negative_or_non_finite(self, build, bad):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            build(bad)
+
+    def test_accepts_zero(self):
+        assert FixedLatency(base_ms=0.0).base_ms == 0.0
+        assert UniformLatency(0.0, 0.0, 0.0).describe()["jitter_ms"] == 0.0
+        assert LinearCost(0.0, 0.0).cost_ms(0, 0, 3, 9) == 0.0
+        assert Delay(delay_ms=0.0).extra_delay_ms(0, 0, 1) == 0.0

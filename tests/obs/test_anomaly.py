@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core import run_anonchan, scaled_parameters
-from repro.network.runtime import InMemoryAsyncTransport, UniformLatency
+from repro.network.runtime import NetworkModel, UniformLatency
 from repro.obs import Tracer, scan_events, without_timing_fields
 from repro.obs.anomaly import (
     HOTSPOT_MIN_ELEMENTS,
@@ -15,20 +15,20 @@ from repro.obs.anomaly import (
 from repro.vss import GGOR13_COST, IdealVSS
 
 
-def _traced_run(seed: int = 7, transport=None) -> list:
+def _traced_run(seed: int = 7, network=None) -> list:
     params = scaled_parameters(n=5, d=6, num_checks=3, kappa=16, margin=6)
     vss = IdealVSS(params.field, params.n, params.t, cost=GGOR13_COST)
     messages = {i: params.field(100 + i) for i in range(5)}
     tracer = Tracer()
     run_anonchan(params, vss, messages, seed=seed, tracer=tracer,
-                 transport=transport)
+                 network=network)
     return list(tracer.events)
 
 
 def _jittered_run(seed: int = 7) -> list:
     return _traced_run(
         seed=seed,
-        transport=InMemoryAsyncTransport(
+        network=NetworkModel(
             latency=UniformLatency(base_ms=2.0, jitter_ms=3.0), seed=seed
         ),
     )

@@ -1,7 +1,7 @@
 """Canonical v4 trace conformance for the batched hot path.
 
 The v3 baseline (``trace_v3_lockstep_n5_seed0``) strips the virtual
-timing fields; under the zero-latency lockstep transport those fields
+timing fields; without a network model (zero latency) those fields
 are themselves deterministic, so PR 10 pins the *full* v4 canonical
 form — and requires the batched backend to reproduce it byte-for-byte.
 A batched run that sent different payloads, reordered rounds, or even

@@ -116,22 +116,22 @@ def test_everything_is_html_escaped():
 
 
 def _timing_dict(jittered: bool = True):
-    from repro.network.runtime import InMemoryAsyncTransport, UniformLatency
+    from repro.network.runtime import NetworkModel, UniformLatency
     from repro.obs import TimingReport
 
     params = scaled_parameters(n=5, d=6, num_checks=3, kappa=16, margin=6)
     vss = IdealVSS(params.field, params.n, params.t, cost=GGOR13_COST)
     messages = {i: params.field(100 + i) for i in range(5)}
     tracer = Tracer()
-    transport = (
-        InMemoryAsyncTransport(
+    network = (
+        NetworkModel(
             latency=UniformLatency(base_ms=3.0, jitter_ms=2.0), seed=7
         )
         if jittered
         else None
     )
     run_anonchan(params, vss, messages, seed=7, tracer=tracer,
-                 transport=transport)
+                 network=network)
     return TimingReport.from_events(tracer.events).to_dict()
 
 

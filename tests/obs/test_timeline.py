@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.core import run_anonchan, scaled_parameters
-from repro.network.runtime import InMemoryAsyncTransport, UniformLatency
+from repro.network.runtime import NetworkModel, UniformLatency
 from repro.obs import (
     Tracer,
     chrome_trace,
@@ -15,19 +15,19 @@ from repro.obs import (
 from repro.vss import GGOR13_COST, IdealVSS
 
 
-def _traced_run(transport=None, n: int = 5) -> Tracer:
+def _traced_run(network=None, n: int = 5) -> Tracer:
     params = scaled_parameters(n=n)
     vss = IdealVSS(params.field, params.n, params.t, cost=GGOR13_COST)
     messages = {i: params.field(100 + i) for i in range(n)}
     tracer = Tracer()
     run_anonchan(params, vss, messages, seed=0, tracer=tracer,
-                 transport=transport)
+                 network=network)
     return tracer
 
 
 def _jittered_events():
     return _traced_run(
-        transport=InMemoryAsyncTransport(
+        network=NetworkModel(
             latency=UniformLatency(base_ms=3.0, jitter_ms=2.0), seed=0
         )
     ).events

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from repro.core import run_anonchan, scaled_parameters
-from repro.network.runtime import InMemoryAsyncTransport, UniformLatency
+from repro.network.runtime import NetworkModel, UniformLatency
 from repro.obs import (
     TimingReport,
     Tracer,
@@ -22,20 +22,20 @@ BASELINE = (
 )
 
 
-def _traced_run(transport=None, seed: int = 0, n: int = 5) -> Tracer:
+def _traced_run(network=None, seed: int = 0, n: int = 5) -> Tracer:
     params = scaled_parameters(n=n)
     vss = IdealVSS(params.field, params.n, params.t, cost=GGOR13_COST)
     messages = {i: params.field(100 + i) for i in range(n)}
     tracer = Tracer()
     run_anonchan(
-        params, vss, messages, seed=seed, tracer=tracer, transport=transport
+        params, vss, messages, seed=seed, tracer=tracer, network=network
     )
     return tracer
 
 
 def _jittered_run(seed: int = 0) -> Tracer:
     return _traced_run(
-        transport=InMemoryAsyncTransport(
+        network=NetworkModel(
             latency=UniformLatency(base_ms=3.0, jitter_ms=2.0), seed=seed
         ),
         seed=seed,
@@ -128,7 +128,7 @@ def test_critical_path_stops_at_zero_time():
     assert len(_critical_path(msgs)) == 1
 
 
-# -- end-to-end: jittered async run -----------------------------------------
+# -- end-to-end: jittered run ------------------------------------------------
 
 def test_jittered_run_report_end_to_end():
     tracer = _jittered_run()
@@ -228,6 +228,8 @@ def test_lockstep_canonical_trace_matches_pre_timing_baseline():
 
 
 def test_async_zero_latency_strips_to_same_baseline():
-    tracer = _traced_run(transport=InMemoryAsyncTransport(), seed=0)
+    """An explicit zero network model strips to the same pre-timing
+    baseline."""
+    tracer = _traced_run(network=NetworkModel(), seed=0)
     lines = canonical_lines(without_timing_fields(tracer.events))
     assert lines == BASELINE.read_text().splitlines()

@@ -437,12 +437,21 @@ def _jittered_trace(tmp_path, capsys) -> str:
     return str(trace)
 
 
-def test_trace_run_latency_flags_need_async_transport(capsys):
-    assert main([
-        "trace-run", "-n", "5", "--latency-ms", "2",
-        "--transport", "lockstep",
-    ]) == 2
-    assert "need the async transport" in capsys.readouterr().err
+@pytest.mark.parametrize("flags", [
+    ["--latency-ms", "-5"],
+    ["--latency-ms", "2", "--jitter-ms", "-3"],
+    ["--latency-ms", "nan"],
+    ["--latency-ms", "1", "--jitter-ms", "inf"],
+])
+def test_trace_run_rejects_negative_or_non_finite_latency(
+    tmp_path, capsys, flags
+):
+    """A negative delay would stamp arrivals before their sends; the
+    run must refuse it instead of writing an acausal trace."""
+    out = tmp_path / "t.jsonl"
+    assert main(["trace-run", "-n", "4", *flags, "--out", str(out)]) == 2
+    assert "must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_timing_on_jittered_trace(tmp_path, capsys):

@@ -76,6 +76,22 @@ class TestGrids:
         keys = [c.key() for c in configs]
         assert len(set(keys)) == len(keys)
 
+    def test_same_identity_key_is_a_collision(self):
+        """Two cells with one identity key would reuse seeds; the grid
+        loader refuses them even when their cosmetic names differ."""
+        from repro.testkit import grids
+        from repro.testkit.config import CampaignConfig
+
+        base = CampaignConfig(
+            name="u/a", n=3, t=1, d=2, ell=16, kappa=8, num_checks=2
+        )
+        grids.GRIDS["_clash"] = lambda: [base, base.with_(name="u/b")]
+        try:
+            with pytest.raises(ValueError, match="same identity key"):
+                grid_configs("_clash")
+        finally:
+            del grids.GRIDS["_clash"]
+
     def test_smoke_grid_is_a_real_campaign(self):
         """The acceptance bar: >= 24 configs crossing all four axes."""
         configs = grid_configs("smoke")

@@ -167,7 +167,7 @@ def test_timing_conformance_helper_divergence_cases():
     assert any("runtime accounting" in d for d in divergences)
 
     # A traced trial without stamps is itself a conformance failure:
-    # both transports stamp v4 virtual times.
+    # the simulator stamps v4 virtual times.
     stripped = SimpleNamespace(events=without_timing_fields(tracer.events))
     ok, divergences = _timing_conformance(stripped, 0.0)
     assert not ok
