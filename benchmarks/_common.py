@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -92,6 +93,30 @@ def report(
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return body
+
+
+@contextmanager
+def pure_python_path(active: bool = True) -> Iterator[None]:
+    """Run the block as if no field had a vectorized substrate.
+
+    The kernels run iff :func:`repro.fields.vectorized.vector_backend`
+    accepts the field, and each ``ShamirScheme`` / VSS session resolves
+    that once when it is built; so schemes and sessions built inside
+    this block take the pure-Python path — the reference column of the
+    speedup benchmarks.  ``active=False`` leaves the field to decide.
+    """
+    if not active:
+        yield
+        return
+    from unittest import mock
+
+    from repro.fields import vectorized
+
+    def no_substrate(field):
+        raise ValueError(f"{field!r}: pure-Python reference column")
+
+    with mock.patch.object(vectorized, "vector_backend", no_substrate):
+        yield
 
 
 def _active_profile_summary() -> dict | None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import phase_breakdown, report
+from _common import phase_breakdown, pure_python_path, report
 
 from repro.core import paper_parameters, run_anonchan, scaled_parameters
 from repro.obs import Tracer
@@ -63,9 +63,11 @@ def test_ec_measured_bandwidth(benchmark):
 def test_ec_sharing_backend_speedup(benchmark):
     """End-to-end AnonChan wall time: scalar vs vectorized sharing.
 
-    Both backends must produce byte-identical protocol transcripts (the
-    backend is purely an execution-speed knob); the vectorized run is
-    traced so the JSON artifact carries its per-phase breakdown.
+    The scalar column runs the same field on the pure-Python path
+    (``_common.pure_python_path``).  Both paths must produce
+    byte-identical protocol transcripts (the kernels are purely an
+    execution-speed matter); the vectorized run is traced so the JSON
+    artifact carries its per-phase breakdown.
     """
     import time
 
@@ -75,21 +77,20 @@ def test_ec_sharing_backend_speedup(benchmark):
     def run():
         rows.clear()
         for n in (4, 5, 6):
-            params_by_backend = {
-                backend: scaled_parameters(
-                    n=n, d=6, num_checks=3, kappa=16, margin=6,
-                    sharing_backend=backend,
-                )
-                for backend in ("scalar", "vectorized")
-            }
+            params = scaled_parameters(
+                n=n, d=6, num_checks=3, kappa=16, margin=6
+            )
             timings = {}
             outputs = {}
-            for backend, params in params_by_backend.items():
+            for backend in ("scalar", "vectorized"):
                 vss = IdealVSS(params.field, params.n, params.t)
                 messages = {i: params.field(10 + i) for i in range(n)}
                 tracer = Tracer() if backend == "vectorized" else None
                 t0 = time.perf_counter()
-                res = run_anonchan(params, vss, messages, seed=n, tracer=tracer)
+                with pure_python_path(backend == "scalar"):
+                    res = run_anonchan(
+                        params, vss, messages, seed=n, tracer=tracer
+                    )
                 timings[backend] = time.perf_counter() - t0
                 outputs[backend] = [
                     (sorted(out.output.items()) if out.output is not None else None)

@@ -9,11 +9,13 @@ speedup at paper-scale parameters and is gated by ``bench-check`` in CI
 (the ≥5x assertion below fails the bench job outright if the batched
 path regresses to scalar-ish speed).
 
-Every row asserts byte-identical protocol results across backends
-(outputs *and* field-element accounting): the backend is an
-execution-speed knob, never a semantics knob — the differential harness
-in tests/core/test_batched_equivalence.py holds the same line per
-adversary strategy.
+Every row asserts byte-identical protocol results across the two paths
+(outputs *and* field-element accounting): the scalar column runs the
+same field on the pure-Python path (``_common.pure_python_path``), the
+vectorized column on the numpy kernels the field selects.  The kernels
+are an execution-speed matter, never a semantics one — the differential
+harness in tests/core/test_batched_equivalence.py holds the same line
+per adversary strategy.
 """
 
 import gc
@@ -23,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import phase_breakdown, report
+from _common import phase_breakdown, pure_python_path, report
 
 from repro.core import paper_parameters, run_anonchan, scaled_parameters
 from repro.obs import Tracer
@@ -53,19 +55,19 @@ def _run_once(params, seed):
     return elapsed, (outputs, res.metrics.field_elements_sent)
 
 
-def _measure(label, params_for, seed):
+def _measure(label, params, seed):
     """One table row: scalar once, vectorized best-of-2 (noise floor)."""
-    scalar_s, scalar_result = _run_once(params_for("scalar"), seed)
-    vec_params = params_for("vectorized")
-    vec_s, vec_result = _run_once(vec_params, seed)
-    vec_s2, vec_result2 = _run_once(vec_params, seed)
+    with pure_python_path():
+        scalar_s, scalar_result = _run_once(params, seed)
+    vec_s, vec_result = _run_once(params, seed)
+    vec_s2, vec_result2 = _run_once(params, seed)
     assert vec_result == vec_result2  # deterministic under fixed seed
     assert scalar_result == vec_result  # identical transcript semantics
     vec_best = min(vec_s, vec_s2)
     return (
         label,
-        params_for("scalar").n,
-        params_for("scalar").ell,
+        params.n,
+        params.ell,
         round(scalar_s, 3),
         round(vec_best, 3),
         round(scalar_s / vec_best, 2),
@@ -78,28 +80,19 @@ def test_ec_e2e_anonchan_speedup(benchmark):
 
     def run():
         rows.clear()
-        rows.append(
-            _measure(
-                "paper n=2",
-                lambda b: paper_parameters(2, sharing_backend=b),
-                seed=7,
-            )
-        )
+        rows.append(_measure("paper n=2", paper_parameters(2), seed=7))
         rows.append(
             _measure(
                 "scaled n=6",
-                lambda b: scaled_parameters(
-                    n=6, d=8, num_checks=4, kappa=16, margin=8,
-                    sharing_backend=b,
+                scaled_parameters(
+                    n=6, d=8, num_checks=4, kappa=16, margin=8
                 ),
                 seed=7,
             )
         )
         rows.append(
             _measure(
-                "paper-scale n=9",
-                lambda b: scaled_parameters(**PAPER_SCALE, sharing_backend=b),
-                seed=7,
+                "paper-scale n=9", scaled_parameters(**PAPER_SCALE), seed=7
             )
         )
         return rows
@@ -109,7 +102,7 @@ def test_ec_e2e_anonchan_speedup(benchmark):
     # Untimed instrumented run at paper scale: the artifact carries the
     # per-phase breakdown and the batched/fallback op accounting (the
     # timed legs run untraced so instrumentation cannot skew the gate).
-    params = scaled_parameters(**PAPER_SCALE, sharing_backend="vectorized")
+    params = scaled_parameters(**PAPER_SCALE)
     vss = IdealVSS(params.field, params.n, params.t)
     tracer, prof = Tracer(), OpProfiler()
     run_anonchan(
@@ -141,8 +134,8 @@ def test_ec_e2e_anonchan_speedup(benchmark):
         extra=extra,
     )
 
-    # The explicitly vectorized mode must never have taken a scalar
-    # fallback, and the batch kernels must actually have engaged.
+    # A field with a substrate must never take a scalar fallback, and
+    # the batch kernels must actually have engaged.
     assert counters["combine_scalar_fallback"] == 0
     assert counters["deal_batched"] > 0
     assert counters["open_batched"] > 0

@@ -109,8 +109,9 @@ def test_micro_batch_sharing_speedup(benchmark):
     """
     f = gf2k(16)
     n, t = 7, 3
-    scalar = ShamirScheme(f, n, t, backend="scalar")
-    batched = ShamirScheme(f, n, t, backend="vectorized")
+    # share/reconstruct_all are pure Python whatever the field; the
+    # matrix forms run on the kernels GF(2^16) selects.
+    scalar = batched = ShamirScheme(f, n, t)
     xs = [p.value for p in batched.points]
     rows = []
 

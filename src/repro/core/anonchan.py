@@ -424,12 +424,6 @@ def run_anonchan(
     """
     protocol = AnonChan(params, vss, receiver=receiver)
     session = vss.new_session(random.Random(seed ^ 0x5EED))
-    if params.sharing_backend != "auto":
-        # An explicit params-level backend choice overrides the VSS
-        # session's default; "auto" defers to the scheme's own policy.
-        configure_backend = getattr(session, "configure_backend", None)
-        if configure_backend is not None:
-            configure_backend(params.sharing_backend)
 
     def prog(pid: int, material=None, tracer: Tracer | None = None) -> Program:
         return protocol.party_program(

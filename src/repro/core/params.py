@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fields import VECTOR_BACKEND_MODES, GF2k, gf2k
+from repro.fields import GF2k, gf2k
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,11 @@ class AnonChanParams:
     num_checks:
         Number of re-randomized copies ``w_j`` per prover == number of
         challenge bits consumed (paper: ``kappa``).
-    sharing_backend:
-        Batch-kernel policy of the sharing/VSS layer: ``"auto"``
-        (default) uses the numpy kernels for large batches when the
-        field supports them, ``"vectorized"`` requires them,
-        ``"scalar"`` forces the pure-Python reference path.  Purely an
-        execution-speed knob — every backend produces identical
-        protocol behavior (asserted by tests).
+
+    Which kernels evaluate the field arithmetic is not a parameter: the
+    sharing/VSS layer uses the numpy kernels iff ``GF(2^kappa)`` has a
+    vectorized substrate (``kappa <= 32``) and the pure-Python path
+    otherwise, with identical protocol behavior (asserted by tests).
     """
 
     n: int
@@ -68,7 +66,6 @@ class AnonChanParams:
     ell: int
     d: int
     num_checks: int
-    sharing_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -86,11 +83,6 @@ class AnonChanParams:
             )
         if (1 << self.kappa) <= max(self.n, self.ell):
             raise ValueError("field too small for party count / vector length")
-        if self.sharing_backend not in VECTOR_BACKEND_MODES:
-            raise ValueError(
-                f"unknown sharing backend {self.sharing_backend!r}, "
-                f"expected one of {VECTOR_BACKEND_MODES}"
-            )
 
     @property
     def field(self) -> GF2k:
@@ -135,7 +127,6 @@ def paper_parameters(
     n: int,
     t: int | None = None,
     kappa: int | None = None,
-    sharing_backend: str = "auto",
 ) -> AnonChanParams:
     """The exact parameters from the proof of Theorem 1.
 
@@ -160,7 +151,6 @@ def paper_parameters(
         ell=4 * n**6 * kappa,
         d=n**4 * kappa,
         num_checks=kappa,
-        sharing_backend=sharing_backend,
     )
 
 
@@ -171,7 +161,6 @@ def scaled_parameters(
     num_checks: int = 6,
     kappa: int = 16,
     margin: int = 8,
-    sharing_backend: str = "auto",
 ) -> AnonChanParams:
     """Laptop-scale parameters preserving the guarantees' structure.
 
@@ -190,7 +179,6 @@ def scaled_parameters(
         ell=ell,
         d=d,
         num_checks=num_checks,
-        sharing_backend=sharing_backend,
     )
 
 

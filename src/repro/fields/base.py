@@ -17,12 +17,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 if TYPE_CHECKING:
     from repro.obs.profiler import NullProfiler, OpProfiler
 
-#: Valid batch-backend selection modes used across the sharing stack:
-#: ``"auto"`` picks the numpy kernels when the field supports them,
-#: ``"vectorized"`` requires them, ``"scalar"`` forces the pure-Python
-#: reference path (see :mod:`repro.fields.vectorized`).
-VECTOR_BACKEND_MODES: tuple[str, ...] = ("auto", "vectorized", "scalar")
-
 
 class FieldElement:
     """An immutable element of a finite field.

@@ -38,16 +38,16 @@ concrete type plus its defining parameters — never by a lossy repr:
 modulus can numerically equal a ``PrimeField`` modulus, so any
 repr/order-based key would leak tables across fields.
 
-Finally, :func:`force_scalar` reads the ``REPRO_FORCE_SCALAR``
-environment switch: when set, every ``"auto"``-mode batch policy in the
-stack resolves to the scalar reference path (explicit ``"vectorized"``
-or ``"scalar"`` requests are unaffected).  CI runs one matrix leg with
-it enabled so the scalar fallbacks keep full coverage.
+Which kernels run is decided by the field alone: the sharing scheme
+and the VSS session call :func:`vector_backend` once, when they are
+built, and take the numpy kernels iff it succeeds, for every batch
+size.  A ``ValueError`` means the field has no substrate (``GF(2^k)``
+with ``k > CARRYLESS_MAX_K``, e.g. ``paper_parameters(n)`` for
+``n >= 17``, or a prime ``>= 2^31``) and the pure-Python path runs.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -73,31 +73,11 @@ CARRYLESS_MAX_K = 32
 #: ``O(3k)`` streaming passes only once the tables fall out of cache;
 #: measured on the reference container the k=16 tables stay
 #: cache-resident through 2^22-element batches, so the default engages
-#: the kernel only beyond that (override with the
-#: ``REPRO_TABLE_FREE_MIN`` environment variable to re-measure — see
-#: docs/PERFORMANCE.md).  Tableless fields (k > ``GF2k.TABLE_MAX_K``)
-#: always use the carryless kernel regardless of size.
+#: the kernel only beyond that (to re-measure, set ``table_free_min`` on
+#: one :class:`VectorGF2k` instance — see docs/PERFORMANCE.md).
+#: Tableless fields (k > ``GF2k.TABLE_MAX_K``) always use the carryless
+#: kernel regardless of size.
 DEFAULT_TABLE_FREE_MIN = 1 << 22
-
-
-def default_table_free_min() -> int:
-    """The table-free crossover threshold (env-overridable)."""
-    raw = os.environ.get("REPRO_TABLE_FREE_MIN", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_TABLE_FREE_MIN
-
-
-def force_scalar() -> bool:
-    """True when ``REPRO_FORCE_SCALAR`` requests the scalar path.
-
-    Consulted dynamically (not cached) so tests can monkeypatch the
-    environment; only ``"auto"`` backend modes honor it.
-    """
-    return os.environ.get("REPRO_FORCE_SCALAR", "").strip() not in ("", "0")
 
 
 class VectorBackend:
@@ -325,8 +305,8 @@ class VectorGF2k(VectorBackend):
 
     - **table gathers**: a pair of log-table gathers plus one exp-table
       gather, available only when the field carries log/exp tables
-      (``k <= GF2k.TABLE_MAX_K``), used for arrays smaller than
-      ``table_free_min``;
+      (``k <= GF2k.TABLE_MAX_K``), used for arrays smaller than the
+      instance's ``table_free_min`` (:data:`DEFAULT_TABLE_FREE_MIN`);
     - **carryless shift-and-XOR**: bit-sliced over the ``k`` multiplier
       bits, then a modular fold of bits ``2k-2 .. k`` by the reduction
       polynomial — table-free, ``O(3k)`` streaming passes regardless of
@@ -339,7 +319,7 @@ class VectorGF2k(VectorBackend):
     the threshold never changes a result (property-tested).
     """
 
-    def __init__(self, field: GF2k, table_free_min: int | None = None) -> None:
+    def __init__(self, field: GF2k) -> None:
         if field.k > CARRYLESS_MAX_K:
             raise ValueError(
                 f"{field.short_name} exceeds the carryless kernel width "
@@ -361,11 +341,7 @@ class VectorGF2k(VectorBackend):
         else:
             self._exp = None
             self._log = None
-        self.table_free_min = (
-            default_table_free_min()
-            if table_free_min is None
-            else int(table_free_min)
-        )
+        self.table_free_min = DEFAULT_TABLE_FREE_MIN
 
     # -- carryless kernel -------------------------------------------------
     def _fold(self, acc: np.ndarray) -> np.ndarray:
@@ -541,19 +517,15 @@ class VectorPrimeField(VectorBackend):
         return np.add.reduceat(a, indices) % self._p
 
 
-def vector_backend(
-    field: Field, *, table_free_min: int | None = None
-) -> VectorBackend:
+def vector_backend(field: Field) -> VectorBackend:
     """The vectorized backend for ``field``.
 
     Raises ``ValueError`` when the field has no vectorized substrate
     (``GF(2^k)`` beyond the carryless kernel width, huge primes, exotic
     fields); callers treat that as "use the scalar reference path".
-    ``table_free_min`` overrides the GF(2^k) gather-to-carryless
-    crossover threshold (testing/measurement hook).
     """
     if isinstance(field, GF2k):
-        return VectorGF2k(field, table_free_min=table_free_min)
+        return VectorGF2k(field)
     if isinstance(field, PrimeField):
         return VectorPrimeField(field)
     raise ValueError(

@@ -13,9 +13,11 @@ tests treat as ground truth) and a batched path
 (:meth:`ShamirScheme.share_vector_batched`,
 :meth:`ShamirScheme.reconstruct_batch`) that deals and opens whole
 arrays of secrets through the numpy kernels of
-:mod:`repro.fields.vectorized`.  The batched path consumes the dealing
-``rng`` in exactly the same order as the scalar path, so for a fixed
-seed both produce identical shares.
+:mod:`repro.fields.vectorized`.  The batched path evaluates through
+those kernels iff the field has a vectorized substrate, and through
+pure-Python loops otherwise.  It consumes the dealing ``rng`` in
+exactly the same order as the scalar path, so for a fixed seed both
+produce identical shares.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.fields import (
-    VECTOR_BACKEND_MODES,
     Field,
     FieldElement,
     Polynomial,
@@ -33,9 +34,6 @@ from repro.fields import (
     lagrange_coefficients,
 )
 from repro.obs.profiler import get_profiler
-
-#: Valid values for the ``backend`` argument of :class:`ShamirScheme`.
-BACKEND_MODES = VECTOR_BACKEND_MODES
 
 
 @dataclass(frozen=True)
@@ -67,16 +65,13 @@ class ShamirScheme:
     t:
         Degree of the sharing polynomial; any ``t`` shares are
         independent of the secret, ``t + 1`` reconstruct it.
-    backend:
-        Batch-kernel selection: ``"auto"`` (default) uses the numpy
-        backend when the field supports one, ``"vectorized"`` requires
-        it (``ValueError`` if unavailable), ``"scalar"`` forces the
-        pure-Python reference path.
+
+    The batched methods use the numpy kernels iff
+    :func:`repro.fields.vectorized.vector_backend` accepts ``field``
+    (resolved once, here), and the pure-Python loops otherwise.
     """
 
-    def __init__(
-        self, field: Field, n: int, t: int, backend: str = "auto"
-    ):
+    def __init__(self, field: Field, n: int, t: int):
         if n < 1:
             raise ValueError(f"need at least one party, got n={n}")
         if not 0 <= t < n:
@@ -85,48 +80,24 @@ class ShamirScheme:
             raise ValueError(
                 f"field of order {field.order} too small for n={n} parties"
             )
-        if backend not in BACKEND_MODES:
-            raise ValueError(
-                f"unknown backend {backend!r}, expected one of {BACKEND_MODES}"
-            )
         self.field = field
         self.n = n
         self.t = t
-        self.backend = backend
         self.points = [field(i) for i in range(1, n + 1)]
         self._recon_coeffs_full = lagrange_coefficients(field, self.points, 0)
         self._coeff_by_x = {
             point.value: coeff.value
             for point, coeff in zip(self.points, self._recon_coeffs_full)
         }
-        self._vector = None
-        self._vector_checked = False
         self._vandermonde = None
         self._lagrange_cache: dict[tuple[int, ...], list[int]] = {}
-        if backend == "vectorized":
-            from repro.fields.vectorized import vector_backend
+        # Looked up through the module so tests can substitute it.
+        from repro.fields import vectorized
 
-            self._vector = vector_backend(field)  # raises if unsupported
-            self._vector_checked = True
-
-    def _vector_backend(self):
-        """Lazily construct the numpy backend per the ``backend`` mode."""
-        if self.backend != "vectorized":
-            # "auto" honors the scalar-coverage escape hatch; an explicit
-            # "vectorized" request still wins so tests can force kernels.
-            from repro.fields.vectorized import force_scalar
-
-            if self.backend == "scalar" or force_scalar():
-                return None
-        if not self._vector_checked:
-            self._vector_checked = True
-            try:
-                from repro.fields.vectorized import vector_backend
-
-                self._vector = vector_backend(self.field)
-            except (ValueError, ImportError):
-                self._vector = None
-        return self._vector
+        try:
+            self._vector = vectorized.vector_backend(field)
+        except ValueError:
+            self._vector = None  # no substrate: the pure-Python loops
 
     # -- dealing ---------------------------------------------------------
     def share(
@@ -184,7 +155,7 @@ class ShamirScheme:
         """Evaluate coefficient rows at all n party points (batched)."""
         if not coeff_rows:
             return []
-        vec = self._vector_backend()
+        vec = self._vector
         prof = get_profiler()
         if vec is None:
             if prof.enabled:
@@ -341,7 +312,7 @@ class ShamirScheme:
                 f"need at least {self.t + 1} shares per row, got {len(xs)}"
             )
         coeffs = self._lagrange_at_zero(xs)
-        vec = self._vector_backend()
+        vec = self._vector
         prof = get_profiler()
         if vec is None:
             if prof.enabled:

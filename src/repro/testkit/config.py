@@ -2,11 +2,12 @@
 
 A :class:`CampaignConfig` pins one cell of the conformance grid: the
 protocol parameters ``(n, t, d, ell, kappa, num_checks)``, the
-adversary strategy, the network fault, the field/kernel substrate, how
-many corrupted parties carry the strategy, and how many seeded trials
-to run.  Every piece of randomness in a campaign is derived from the
-campaign seed and the config's canonical :meth:`~CampaignConfig.key`
-via SHA-256 (:func:`derive_seed`), so a campaign is a pure function of
+adversary strategy, the network fault, how many corrupted parties
+carry the strategy, and how many seeded trials to run; the kernel
+substrate follows from ``kappa``.  Every piece of randomness in a
+campaign is derived from the campaign seed and the config's
+canonical :meth:`~CampaignConfig.key` via SHA-256
+(:func:`derive_seed`), so a campaign is a pure function of
 ``(grid, campaign_seed)`` — re-running it reproduces every trial, and
 the JSON report embeds enough to re-run any single cell.
 """
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping
 
 from repro.core.params import AnonChanParams
+from repro.fields import gf2k
 
 
 def derive_seed(*parts: Any) -> int:
@@ -50,9 +52,6 @@ class CampaignConfig:
     fault:
         Network-fault axis (a key of :data:`repro.testkit.axes.FAULTS`),
         applied to the corrupted parties' round outputs.
-    substrate:
-        Field/kernel substrate axis: the sharing backend
-        (``"auto" | "scalar" | "vectorized"``).
     corrupt_count:
         How many parties (the highest non-receiver ids) are corrupted.
     trials:
@@ -68,7 +67,6 @@ class CampaignConfig:
     num_checks: int
     strategy: str = "honest"
     fault: str = "none"
-    substrate: str = "auto"
     corrupt_count: int = 0
     trials: int = 2
 
@@ -91,6 +89,23 @@ class CampaignConfig:
                 "one corrupted party (corrupt_count >= 1)"
             )
 
+    @property
+    def substrate(self) -> str:
+        """The kernel path ``GF(2^kappa)`` takes (derived, read-only).
+
+        ``"tables"`` (numpy log/exp gathers), ``"table-free"`` (numpy
+        carryless kernel) or ``"scalar"`` (no vectorized substrate: the
+        pure-Python path).
+        """
+        from repro.fields import vectorized
+
+        field = gf2k(self.kappa)
+        try:
+            vectorized.vector_backend(field)
+        except ValueError:
+            return "scalar"
+        return "tables" if field.has_tables else "table-free"
+
     # ------------------------------------------------------------------
     def params(self) -> AnonChanParams:
         """The AnonChanParams for this cell (raises if invalid)."""
@@ -101,19 +116,21 @@ class CampaignConfig:
             ell=self.ell,
             d=self.d,
             num_checks=self.num_checks,
-            sharing_backend=self.substrate,
         )
 
     def key(self) -> str:
         """Canonical identity string (the seed-derivation preimage).
 
-        ``name`` (cosmetic) is excluded on purpose.
+        ``name`` (cosmetic) is excluded on purpose.  ``substrate=auto``
+        is a literal: the substrate used to be a settable axis whose
+        default was ``auto``, and keeping that text keeps every cell's
+        seed unchanged.
         """
         return (
             f"n={self.n};t={self.t};d={self.d};ell={self.ell};"
             f"kappa={self.kappa};checks={self.num_checks};"
             f"strategy={self.strategy};fault={self.fault};"
-            f"substrate={self.substrate};corrupt={self.corrupt_count};"
+            f"substrate=auto;corrupt={self.corrupt_count};"
             f"trials={self.trials}"
         )
 
@@ -127,7 +144,7 @@ class CampaignConfig:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return {**asdict(self), "substrate": self.substrate}
 
     def to_json(self) -> str:
         """Compact, key-sorted JSON (used by ``--config`` repro lines)."""
@@ -135,14 +152,16 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignConfig":
+        kwargs = dict(data)
+        # Derived from kappa (older reports carry a settable value here).
+        kwargs.pop("substrate", None)
         known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"n", "t", "d", "ell", "kappa", "num_checks"} - set(data)
+        missing = {"n", "t", "d", "ell", "kappa", "num_checks"} - set(kwargs)
         if missing:
             raise ValueError(f"config is missing fields: {sorted(missing)}")
-        kwargs = dict(data)
         kwargs.setdefault("name", "adhoc")
         return cls(**kwargs)
 

@@ -4,8 +4,8 @@ When a campaign cell violates an invariant, the raw config is usually
 far bigger than the bug needs.  ``shrink_config`` greedily walks the
 config's axes — fault removed, strategy -> honest, fewer corrupted
 parties, fewer parties, fewer checks, smaller ``d``/``ell``/``kappa``,
-default substrate, fewer trials — re-running the candidate after each
-step and keeping it only if the *same* invariant still fires.  The
+fewer trials — re-running the candidate after each step and keeping
+it only if the *same* invariant still fires.  The
 result is locally minimal: no single axis step reproduces the
 violation on a smaller config.
 
@@ -116,10 +116,6 @@ def _candidates(
         c = _try(config, kappa=8)
         if c:
             yield "shrink the field to GF(2^8)", c
-    if config.substrate != "auto":
-        c = _try(config, substrate="auto")
-        if c:
-            yield "use the default sharing substrate", c
     if config.trials > 1:
         c = _try(config, trials=max(1, config.trials // 2))
         if c:

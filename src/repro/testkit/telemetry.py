@@ -10,7 +10,7 @@ renders as per-config aggregates.
 Record shape (one JSON object per line)::
 
     {"stamp": "...", "campaign_seed": 0, "config": "mini/passive/...",
-     "strategy": "passive", "fault": "none", "substrate": "gf2k",
+     "strategy": "passive", "fault": "none", "substrate": "tables",
      "n": 5, "trial": 0, "seed": 12345, "rounds": 10,
      "broadcast_rounds": 2, "private_messages": 24,
      "field_elements_sent": 53928, "makespan_ms": 0.0,
@@ -42,6 +42,7 @@ def trial_records(
     if stamp is None:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     config = result.config
+    substrate = config.substrate
     records = []
     for trial in result.evidence.trials:
         records.append(
@@ -51,7 +52,7 @@ def trial_records(
                 "config": config.name,
                 "strategy": config.strategy,
                 "fault": config.fault,
-                "substrate": config.substrate,
+                "substrate": substrate,
                 "n": config.n,
                 "trial": trial.trial,
                 "seed": trial.seed,

@@ -173,10 +173,10 @@ class VSSSession(ABC):
         """Robustly reconstruct ``count`` values from payload columns.
 
         ``columns`` maps each sender to its list of ``count`` reveal
-        payloads (senders with malformed column lengths must be
-        filtered by the caller).  This is the batch form of the paper's
-        step-4 private reconstruction: the designated receiver runs it
-        locally on privately received payloads.  Positions where no
+        payloads; a shorter column takes part only at the positions it
+        has.  This is the batch form of the paper's step-4 private
+        reconstruction: the designated receiver runs it locally on
+        privately received payloads.  Positions where no
         value is identifiable yield ``None`` instead of raising, so one
         corrupted coordinate cannot abort the whole opening.  ``views``
         optionally carries the verifier's own share views for backends
@@ -188,7 +188,11 @@ class VSSSession(ABC):
             try:
                 results.append(
                     self.verify_and_combine(
-                        {s: column[k] for s, column in columns.items()},
+                        {
+                            s: column[k]
+                            for s, column in columns.items()
+                            if k < len(column)
+                        },
                         verifier=verifier,
                     )
                 )

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.fields import VECTOR_BACKEND_MODES, FieldElement
+from repro.fields import FieldElement
 from repro.network import Program, RoundOutput, SizedPayload
 from repro.obs.profiler import get_profiler
 
@@ -50,18 +50,6 @@ REFUSE = RefuseType()
 
 #: Terms of a linear combination: serial -> raw coefficient encoding.
 Terms = tuple[tuple[int, int], ...]
-
-#: Smallest batch for which the numpy dealing path beats the scalar one
-#: (array setup costs dominate below it); ``"vectorized"`` mode ignores
-#: the threshold so tests can force the kernels on tiny batches.
-VECTOR_DEAL_MIN = 32
-
-#: Same, for batched openings/reconstructions.
-VECTOR_OPEN_MIN = 64
-
-#: Same, for batched view combination (diffs/sums of whole offset
-#: arrays in the AnonChan cut-and-choose and step-4 hot paths).
-VECTOR_COMBINE_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -160,9 +148,15 @@ class IdealVSSSession(VSSSession):
         self._batch_lengths: dict[tuple[int, int], int] = {}
         self._counters: dict[tuple[int, int], int] = {}
         self._lagrange_cache: dict[tuple[int, ...], list[int]] = {}
-        self._backend_mode = scheme.backend
-        self._vector = None
-        self._vector_checked = False
+        # The numpy kernels run iff the field has a vectorized substrate
+        # (looked up through the module, so tests can substitute it);
+        # otherwise every batch takes the pure-Python path.
+        from repro.fields import vectorized
+
+        try:
+            self._vector = vectorized.vector_backend(scheme.field)
+        except ValueError:
+            self._vector = None
         self._vandermonde = None  # cached powers of the points 0..n
         self._evals_np = None  # cached numpy view of _evals
         # Cross-verifier open caches.  All n verifiers of one public
@@ -176,62 +170,6 @@ class IdealVSSSession(VSSSession):
         # or adversarial payloads cannot poison the cache.
         self._honest_cache: dict[tuple, tuple[list[int], list]] = {}
         self._opened_cache: dict[tuple, list] = {}
-        if self._backend_mode == "vectorized":
-            from repro.fields.vectorized import vector_backend
-
-            self._vector = vector_backend(scheme.field)  # raises if unsupported
-            self._vector_checked = True
-
-    def configure_backend(self, mode: str) -> None:
-        """Select the batch-kernel policy for this session.
-
-        ``"auto"`` (default) uses the numpy kernels for large batches on
-        fields that support them, ``"vectorized"`` requires and always
-        uses them (``ValueError`` if the field has no vectorized
-        substrate), ``"scalar"`` forces the pure-Python reference path.
-        """
-        if mode not in VECTOR_BACKEND_MODES:
-            raise ValueError(
-                f"unknown backend {mode!r}, expected one of "
-                f"{VECTOR_BACKEND_MODES}"
-            )
-        if mode == "vectorized":
-            from repro.fields.vectorized import vector_backend
-
-            self._vector = vector_backend(self.scheme.field)
-            self._vector_checked = True
-        self._backend_mode = mode
-
-    def _vector_backend(self):
-        """Lazily construct the numpy backend per the session's mode."""
-        if self._backend_mode == "scalar":
-            return None
-        if not self._vector_checked:
-            self._vector_checked = True
-            try:
-                from repro.fields.vectorized import vector_backend
-
-                self._vector = vector_backend(self.scheme.field)
-            except (ValueError, ImportError):
-                self._vector = None
-        return self._vector
-
-    def _use_vector(self, batch_size: int, threshold: int):
-        """The backend to use for a batch of ``batch_size``, or ``None``."""
-        vec = self._vector_backend()
-        if vec is None:
-            return None
-        if self._backend_mode != "vectorized":
-            from repro.fields.vectorized import force_scalar
-
-            if force_scalar():
-                # REPRO_FORCE_SCALAR pins "auto" to the reference path
-                # (explicit "vectorized" mode still wins, so tests can
-                # keep forcing the kernels).
-                return None
-            if batch_size < threshold:
-                return None
-        return vec
 
     def _lagrange_at_zero(self, xs: tuple[int, ...]) -> list[int]:
         """Cached Lagrange-at-zero coefficients for one point set.
@@ -283,12 +221,12 @@ class IdealVSSSession(VSSSession):
             [secret.value] + [randrange(order) for _ in range(t)]
             for secret in secrets
         ]
-        vec = self._use_vector(len(coeff_rows), VECTOR_DEAL_MIN)
+        vec = self._vector
         prof = get_profiler()
         if vec is not None:
-            # Large batch on a vectorizable field: evaluate all sharing
-            # polynomials at all party points against the cached
-            # Vandermonde table in a few numpy operations.
+            # Vectorizable field: evaluate all sharing polynomials at
+            # all party points against the cached Vandermonde table in
+            # a few numpy operations.
             import numpy as np
 
             if prof.enabled:
@@ -433,7 +371,7 @@ class IdealVSSSession(VSSSession):
         ``False`` substitutes ``None`` per failed position (private
         step-4 reconstruction tolerates corrupted coordinates).
         """
-        vec = self._use_vector(len(views), VECTOR_OPEN_MIN)
+        vec = self._vector
         prof = get_profiler()
         if vec is None:
             if prof.enabled:
@@ -545,7 +483,7 @@ class IdealVSSSession(VSSSession):
             if expected_vals is None:
                 expected_vals = expected_for_point(sender + 1).tolist()
             point = sender + 1
-            for k in range(num_views):
+            for k in range(min(num_views, len(column))):
                 row = accepted[k]
                 if len(row) >= quorum:
                     continue
@@ -570,7 +508,11 @@ class IdealVSSSession(VSSSession):
                 # Rare/adversarial: defer to the generic logic.
                 try:
                     results[k] = self.verify_and_combine(
-                        {sender: column[k] for sender, column in columns},
+                        {
+                            sender: column[k]
+                            for sender, column in columns
+                            if k < len(column)
+                        },
                         verifier=pid,
                     )
                 except ReconstructionError:
@@ -597,7 +539,11 @@ class IdealVSSSession(VSSSession):
             try:
                 results.append(
                     self.verify_and_combine(
-                        {sender: column[k] for sender, column in columns},
+                        {
+                            sender: column[k]
+                            for sender, column in columns
+                            if k < len(column)
+                        },
                         verifier=pid,
                     )
                 )
@@ -636,7 +582,7 @@ class IdealVSSSession(VSSSession):
 
     def diff_offsets_batch(self, batch, offsets_a, offsets_b):
         handle = getattr(batch, "handle", None)
-        vec = self._use_vector(len(offsets_a), VECTOR_COMBINE_MIN)
+        vec = self._vector
         if vec is None or handle is None:
             return super().diff_offsets_batch(batch, offsets_a, offsets_b)
 
@@ -701,7 +647,7 @@ class IdealVSSSession(VSSSession):
         if not batches:
             return []
         m = len(offset_columns[0])
-        vec = self._use_vector(m * len(batches), VECTOR_COMBINE_MIN)
+        vec = self._vector
         handles = [getattr(b, "handle", None) for b in batches]
         if vec is None or any(h is None for h in handles):
             return super().sum_offsets_batch(batches, offset_columns)
@@ -814,30 +760,12 @@ class IdealVSSSession(VSSSession):
 
 
 class IdealVSS(VSSScheme):
-    """Ideal linear VSS with a pluggable round/broadcast cost profile.
+    """Ideal linear VSS with a pluggable round/broadcast cost profile."""
 
-    ``backend`` picks the batch-kernel policy of new sessions (see
-    :meth:`IdealVSSSession.configure_backend`); per-session overrides
-    remain possible via that method.
-    """
-
-    def __init__(
-        self,
-        field,
-        n: int,
-        t: int,
-        cost: VSSCost | None = None,
-        backend: str = "auto",
-    ):
+    def __init__(self, field, n: int, t: int, cost: VSSCost | None = None):
         if cost is None:
             cost = VSSCost(share_rounds=1, share_broadcast_rounds=0)
-        if backend not in VECTOR_BACKEND_MODES:
-            raise ValueError(
-                f"unknown backend {backend!r}, expected one of "
-                f"{VECTOR_BACKEND_MODES}"
-            )
         super().__init__(field, n, t, cost)
-        self.backend = backend
 
     def new_session(self, rng: random.Random) -> IdealVSSSession:
         return IdealVSSSession(self)

@@ -8,9 +8,42 @@ Test tiers (see docs/TESTING.md):
 - **tier 3** — ``campaign``-marked conformance campaigns (minutes of
   protocol executions); *skipped by default*, opted in with
   ``pytest --run-campaign`` (the CI nightly job does this).
+
+It also provides the ``pure_python`` fixture, the one seam through
+which tests reach the pure-Python arithmetic path on fields that do
+have a vectorized substrate.
 """
 
+import contextlib
+
 import pytest
+
+from repro.fields import vectorized
+
+
+def _no_substrate(field):
+    raise ValueError(f"no vectorized substrate for {field!r} (test seam)")
+
+
+@contextlib.contextmanager
+def _pure_python_path(active=True):
+    if not active:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "vector_backend", _no_substrate)
+        yield
+
+
+@pytest.fixture
+def pure_python():
+    """Context-manager factory: inside ``with pure_python():`` every
+    field looks substrate-less, so the ``ShamirScheme``s and
+    ``IdealVSSSession``s *built* inside it take the pure-Python path
+    (both resolve ``vector_backend`` once, at construction).  Outside
+    the block, or inside ``with pure_python(False):``, the field alone
+    decides, as in production."""
+    return _pure_python_path
 
 
 def pytest_addoption(parser):

@@ -67,25 +67,6 @@ class TestScaledParameters:
         assert scaled_parameters(n=4, num_checks=6).cheater_survival_bound() == 2**-6
 
 
-class TestSharingBackend:
-    def test_default_is_auto(self):
-        assert scaled_parameters(n=4).sharing_backend == "auto"
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            scaled_parameters(n=4, sharing_backend="gpu")
-
-    def test_backend_passed_through(self):
-        assert (
-            scaled_parameters(n=4, sharing_backend="scalar").sharing_backend
-            == "scalar"
-        )
-        assert (
-            paper_parameters(3, sharing_backend="vectorized").sharing_backend
-            == "vectorized"
-        )
-
-
 class TestValidation:
     def test_t_too_large(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ gathers and the carryless shift-and-XOR kernel — selected by array size
 against ``table_free_min``.  The contract here: both kernels compute
 the *same* polynomial multiplication modulo the same irreducible, so
 the crossover threshold is purely a performance knob.  Every test pins
-one kernel explicitly (``table_free_min=0`` forces carryless,
-``table_free_min`` huge forces gathers) and checks it against the
-scalar reference field and against the other kernel.
+one kernel explicitly by setting ``table_free_min`` on its own
+instance (0 forces carryless, huge forces gathers) and checks it
+against the scalar reference field and against the other kernel.
 """
 
 from __future__ import annotations
@@ -25,12 +25,19 @@ ALWAYS_CLMUL = 0
 NEVER_CLMUL = 1 << 60
 
 
+def _pinned(field, table_free_min):
+    """A backend whose gather-to-carryless crossover is ``table_free_min``."""
+    vec = VectorGF2k(field)
+    vec.table_free_min = table_free_min
+    return vec
+
+
 def _kernels(k):
     """(field, carryless-pinned backend, gather-pinned backend or None)."""
     field = gf2k(k)
-    clmul = VectorGF2k(field, table_free_min=ALWAYS_CLMUL)
+    clmul = _pinned(field, ALWAYS_CLMUL)
     tables = (
-        VectorGF2k(field, table_free_min=NEVER_CLMUL)
+        _pinned(field, NEVER_CLMUL)
         if field.has_tables
         else None
     )
@@ -39,8 +46,7 @@ def _kernels(k):
 
 def _sample(field, size, seed=0):
     rng = np.random.default_rng(seed)
-    vec = VectorGF2k(field, table_free_min=NEVER_CLMUL if field.has_tables
-                     else ALWAYS_CLMUL)
+    vec = _pinned(field, NEVER_CLMUL if field.has_tables else ALWAYS_CLMUL)
     return vec.random(size, rng)
 
 
@@ -97,8 +103,8 @@ class TestKernelCrossAgreement:
     def test_threshold_crossover_is_invisible(self):
         """A mid-range threshold: results must not change at the seam."""
         field = gf2k(16)
-        crossing = VectorGF2k(field, table_free_min=64)
-        reference = VectorGF2k(field, table_free_min=NEVER_CLMUL)
+        crossing = _pinned(field, 64)
+        reference = _pinned(field, NEVER_CLMUL)
         for size in (1, 63, 64, 65, 200):
             a = _sample(field, size, seed=size)
             b = _sample(field, size, seed=size + 1)
@@ -156,7 +162,7 @@ class TestEdgeShapes:
     @pytest.mark.parametrize("threshold", [ALWAYS_CLMUL, NEVER_CLMUL])
     def test_empty(self, threshold):
         field = gf2k(16)
-        vec = VectorGF2k(field, table_free_min=threshold)
+        vec = _pinned(field, threshold)
         empty = vec.array([])
         assert vec.mul(empty, empty).shape == (0,)
         assert vec.scale(empty, 7).shape == (0,)
@@ -166,7 +172,7 @@ class TestEdgeShapes:
     @pytest.mark.parametrize("threshold", [ALWAYS_CLMUL, NEVER_CLMUL])
     def test_length_one(self, threshold):
         field = gf2k(16)
-        vec = VectorGF2k(field, table_free_min=threshold)
+        vec = _pinned(field, threshold)
         a = vec.array([0x2B])
         b = vec.array([0x9D])
         assert int(vec.mul(a, b)[0]) == field.mul(0x2B, 0x9D)
@@ -174,7 +180,7 @@ class TestEdgeShapes:
         assert int(vec.inv(a)[0]) == field.inv(0x2B)
 
     def test_empty_tableless(self):
-        vec = VectorGF2k(gf2k(32), table_free_min=ALWAYS_CLMUL)
+        vec = _pinned(gf2k(32), ALWAYS_CLMUL)
         empty = vec.array([])
         assert vec.mul(empty, empty).shape == (0,)
         assert vec.inv(empty).shape == (0,)
@@ -202,7 +208,7 @@ class TestHypothesisProperties:
                 max_size=len(values),
             )
         )
-        clmul = VectorGF2k(field, table_free_min=ALWAYS_CLMUL)
+        clmul = _pinned(field, ALWAYS_CLMUL)
         a = clmul.array(values)
         b = clmul.array(others)
         assert clmul.mul(a, b).tolist() == [
@@ -215,14 +221,14 @@ class TestHypothesisProperties:
     )
     def test_fermat_inverse_roundtrip_k20(self, value):
         field = gf2k(20)
-        clmul = VectorGF2k(field, table_free_min=ALWAYS_CLMUL)
+        clmul = _pinned(field, ALWAYS_CLMUL)
         a = clmul.array([value])
         assert int(clmul.mul(a, clmul.inv(a))[0]) == 1
 
     def test_carryless_width_boundary(self):
         """k = CARRYLESS_MAX_K works; k + 1 is rejected."""
         assert CARRYLESS_MAX_K == 32
-        vec = VectorGF2k(gf2k(32), table_free_min=ALWAYS_CLMUL)
+        vec = _pinned(gf2k(32), ALWAYS_CLMUL)
         a = vec.array([0xDEADBEEF % (1 << 32)])
         b = vec.array([0x1234567])
         assert int(vec.mul(a, b)[0]) == gf2k(32).mul(int(a[0]), int(b[0]))

@@ -266,25 +266,28 @@ class TestIdealVSSIntegration:
 
         f = gf2k(16)
         scheme = IdealVSS(f, n=5, t=2)
-        secrets = [f(i * 3 + 1) for i in range(64)]  # >= 32: vector path
+        secrets = [f(i * 3 + 1) for i in range(64)]
 
         session_v = scheme.new_session(pyrandom.Random(0))
         session_v._deal(0, 0, secrets, pyrandom.Random(42))
 
         session_s = scheme.new_session(pyrandom.Random(0))
-        session_s._vector_checked = True  # force the scalar path
-        session_s._vector = None
+        session_s._vector = None  # force the scalar path
         session_s._deal(0, 0, secrets, pyrandom.Random(42))
 
         assert session_v._evals == session_s._evals
 
-    def test_small_batches_use_scalar_path(self):
+    def test_small_batches_use_vector_path(self):
         import random as pyrandom
 
+        from repro.obs.profiler import OpProfiler, profiled
         from repro.vss import IdealVSS
 
         f = gf2k(16)
         scheme = IdealVSS(f, n=4, t=1)
         session = scheme.new_session(pyrandom.Random(0))
-        session._deal(0, 0, [f(9)], pyrandom.Random(1))
+        prof = OpProfiler()
+        with profiled(prof):
+            session._deal(0, 0, [f(9)], pyrandom.Random(1))
         assert session._evals[0][0] == 9  # the secret at x=0
+        assert prof.total("vss", "deal_batched") == 1

@@ -7,17 +7,21 @@ form — and requires the batched backend to reproduce it byte-for-byte.
 A batched run that sent different payloads, reordered rounds, or even
 changed a message size would break these lines.
 
-The baseline was generated from a ``sharing_backend="scalar"`` lockstep
-run (the reference path); the test then holds every backend mode to it.
-Regenerate with::
+The baseline was generated from a lockstep run on the pure-Python path
+(the reference); the test holds that path (entered through the
+``pure_python`` seam of ``tests/conftest.py``) and the numpy kernels to
+it.  Regenerate with (drop the patch to record from the kernels)::
 
     PYTHONPATH=src python -c "
-    from dataclasses import replace
     from pathlib import Path
+    from unittest import mock
     from repro.core import run_anonchan, scaled_parameters
+    from repro.fields import vectorized
     from repro.obs import Tracer, canonical_lines
     from repro.vss import GGOR13_COST, IdealVSS
-    params = replace(scaled_parameters(n=5), sharing_backend='scalar')
+    mock.patch.object(vectorized, 'vector_backend',
+                      side_effect=ValueError).start()
+    params = scaled_parameters(n=5)
     vss = IdealVSS(params.field, params.n, params.t, cost=GGOR13_COST)
     tracer = Tracer()
     run_anonchan(params, vss,
@@ -30,7 +34,6 @@ Regenerate with::
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,11 +50,11 @@ BASELINE_V3 = (
     Path(__file__).parent / "data" / "trace_v3_lockstep_n5_seed0.canonical.jsonl"
 )
 
-BACKEND_MODES = ("scalar", "auto", "vectorized")
+BACKEND_MODES = ("scalar", "vectorized")
 
 
-def _traced_run(backend: str, profiler: OpProfiler | None = None) -> Tracer:
-    params = replace(scaled_parameters(n=5), sharing_backend=backend)
+def _traced_run(profiler: OpProfiler | None = None) -> Tracer:
+    params = scaled_parameters(n=5)
     vss = IdealVSS(params.field, params.n, params.t, cost=GGOR13_COST)
     messages = {i: params.field(100 + i) for i in range(5)}
     tracer = Tracer()
@@ -62,8 +65,9 @@ def _traced_run(backend: str, profiler: OpProfiler | None = None) -> Tracer:
 
 
 @pytest.mark.parametrize("backend", BACKEND_MODES)
-def test_backend_reproduces_v4_baseline(backend):
-    lines = canonical_lines(_traced_run(backend).events)
+def test_backend_reproduces_v4_baseline(pure_python, backend):
+    with pure_python(backend == "scalar"):
+        lines = canonical_lines(_traced_run().events)
     assert lines == BASELINE_V4.read_text().splitlines()
 
 
@@ -73,7 +77,7 @@ def test_vectorized_run_engages_batched_path():
     (The profiler adds ``prof`` events to the trace, so the counter check
     runs separately from the baseline comparison above.)"""
     prof = OpProfiler()
-    _traced_run("vectorized", profiler=prof)
+    _traced_run(profiler=prof)
     assert prof.total("vss", "deal_batched") > 0
     assert prof.total("vss", "combine_batched") > 0
     assert prof.total("vss", "combine_scalar_fallback") == 0

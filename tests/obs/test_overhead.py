@@ -73,7 +73,7 @@ def test_batch_kernels_skip_accounting_when_disabled():
     assert backend is not None
     import random
 
-    scheme = ShamirScheme(field, 7, 3, backend="vectorized")
+    scheme = ShamirScheme(field, 7, 3)
     shares = scheme.share_matrix(list(range(64)), random.Random(1))
     assert shares  # the kernel ran...
     assert get_profiler() is NULL_PROFILER  # ...and nothing was installed

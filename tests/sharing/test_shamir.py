@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fields import PrimeField, gf2k
+from repro.obs.profiler import OpProfiler, profiled
 from repro.sharing import ShamirScheme, Share
 
 
@@ -152,18 +153,32 @@ class TestShareOrderAndDuplicates:
         assert scheme.consistent(shares + shares)
 
 
+def _eval_path(scheme):
+    """(kernel evaluations, pure-Python evaluations) of one dealing."""
+    prof = OpProfiler()
+    with profiled(prof):
+        scheme.share_matrix([1], random.Random(0))
+    return (
+        prof.total("shamir", "batch_eval"),
+        prof.total("shamir", "eval_scalar_fallback"),
+    )
+
+
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ShamirScheme(gf2k(16), n=5, t=2, backend="numpy")
+    """The field alone picks the kernels, for every batch size."""
 
     def test_vectorized_requires_supported_field(self):
         # gf2k(33) exceeds the carryless kernel width: no substrate.
-        with pytest.raises(ValueError):
-            ShamirScheme(gf2k(33), n=5, t=2, backend="vectorized")
+        assert _eval_path(ShamirScheme(gf2k(16), n=5, t=2)) == (1, 0)
+        assert _eval_path(ShamirScheme(gf2k(33), n=5, t=2)) == (0, 1)
+
+    def test_seam_selects_pure_python(self, pure_python):
+        with pure_python():
+            scheme = ShamirScheme(gf2k(16), n=5, t=2)
+        assert _eval_path(scheme) == (0, 1)
 
     def test_auto_falls_back_to_scalar(self):
-        scheme = ShamirScheme(gf2k(33), n=5, t=2, backend="auto")
+        scheme = ShamirScheme(gf2k(33), n=5, t=2)
         rng = random.Random(28)
         secret = scheme.field(1 << 20)
         assert scheme.reconstruct_all(scheme.share(secret, rng)) == secret

@@ -102,7 +102,7 @@ class TestGrids:
         sizes = {(c.n, c.d, c.ell) for c in configs}
         assert len(strategies) >= 5
         assert faults == set(FAULTS)
-        assert {"scalar", "vectorized"} <= substrates
+        assert substrates == {"tables", "table-free", "scalar"}
         assert len(sizes) >= 4
 
     def test_smoke_contains_claim1_measurement_block(self):

@@ -54,9 +54,26 @@ class TestConfigSerialization:
     def test_json_roundtrip(self):
         config = CampaignConfig(
             **{**BASE, "strategy": "jamming", "fault": "drop-half",
-               "substrate": "scalar", "corrupt_count": 1, "trials": 9}
+               "corrupt_count": 1, "trials": 9}
         )
         assert CampaignConfig.from_json(config.to_json()) == config
+
+    def test_substrate_is_derived_from_the_field(self, pure_python):
+        """Reports carry the substrate; reading one back (or an older
+        report's settable value) never overrides what kappa implies."""
+        for kappa, substrate in ((16, "tables"), (26, "table-free"),
+                                 (34, "scalar")):
+            config = CampaignConfig(**{**BASE, "kappa": kappa})
+            assert config.substrate == substrate
+            assert config.to_dict()["substrate"] == substrate
+            legacy = {**config.to_dict(), "substrate": "vectorized"}
+            assert CampaignConfig.from_dict(legacy) == config
+        with pytest.raises(TypeError):
+            CampaignConfig(**{**BASE, "substrate": "scalar"})
+        with pure_python():
+            assert CampaignConfig(**{**BASE, "kappa": 16}).substrate == (
+                "scalar"
+            )
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):

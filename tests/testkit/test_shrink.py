@@ -7,8 +7,7 @@ from repro.testkit.cli import build_registry
 def _big_config(**kw):
     base = dict(
         name="shrink-me", n=5, t=2, d=4, ell=64, kappa=16, num_checks=3,
-        strategy="jamming", fault="drop-half", substrate="scalar",
-        corrupt_count=2, trials=8,
+        strategy="jamming", fault="drop-half", corrupt_count=2, trials=8,
     )
     base.update(kw)
     return CampaignConfig(**base)
@@ -33,7 +32,7 @@ class TestShrinkWithInjectedChecker:
         assert m.ell == 1
         assert m.num_checks == 1
         assert m.kappa == 8
-        assert m.substrate == "auto"
+        assert m.substrate == "tables"  # derived from kappa=8
         assert m.trials == 1
 
     def test_minimal_config_still_violates(self):

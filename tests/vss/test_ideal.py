@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.fields import gf2k
+from repro.obs.profiler import OpProfiler, profiled
 from repro.vss import (
     DEALER_DISQUALIFIED,
     GGOR13_COST,
@@ -126,43 +127,36 @@ class TestLinearity:
 
 
 class TestBackends:
-    """Backend selection: identical semantics, different execution."""
-
-    def test_invalid_scheme_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            IdealVSS(gf2k(16), n=5, t=2, backend="gpu")
-
-    def test_configure_backend_validates(self, scheme):
-        session = scheme.new_session(random.Random(0))
-        with pytest.raises(ValueError, match="backend"):
-            session.configure_backend("gpu")
-
-    def test_configure_vectorized_on_unsupported_field(self):
-        # gf2k(33) exceeds the carryless kernel width: no substrate.
-        session = IdealVSS(gf2k(33), n=5, t=2).new_session(random.Random(0))
-        with pytest.raises(ValueError):
-            session.configure_backend("vectorized")
+    """The field picks the kernels: identical semantics, different execution."""
 
     def test_vectorized_scheme_on_unsupported_field(self):
-        scheme = IdealVSS(gf2k(33), n=5, t=2, backend="vectorized")
-        with pytest.raises(ValueError):
-            scheme.new_session(random.Random(0))
+        # gf2k(33) exceeds the carryless kernel width: no substrate, so
+        # even a batch of 100 deals on the pure-Python path.
+        for k, path in ((16, "deal_batched"), (33, "deal_scalar_fallback")):
+            f = gf2k(k)
+            prof = OpProfiler()
+            with profiled(prof):
+                share_and_open(
+                    IdealVSS(f, n=5, t=2), {0: [f(v) for v in range(100)]}
+                )
+            assert prof.total("vss", path) == 100
 
     def test_auto_on_unsupported_field_falls_back(self):
         f = gf2k(33)
-        scheme = IdealVSS(f, n=5, t=2)  # auto: silently scalar
+        scheme = IdealVSS(f, n=5, t=2)  # no substrate: pure Python
         result, _ = share_and_open(scheme, {0: [f(v) for v in range(40)]})
         for out in result.outputs.values():
             assert out[0] == [f(v) for v in range(40)]
 
     @pytest.mark.parametrize("count", [1, 100])
-    def test_open_backends_agree(self, count):
+    def test_open_backends_agree(self, pure_python, count):
         f = gf2k(16)
         secrets = {0: [f((v * 7 + 1) % f.order) for v in range(count)]}
         outputs = {}
         for backend in ("scalar", "vectorized"):
-            scheme = IdealVSS(f, n=5, t=2, backend=backend)
-            result, _ = share_and_open(scheme, secrets)
+            scheme = IdealVSS(f, n=5, t=2)
+            with pure_python(backend == "scalar"):
+                result, _ = share_and_open(scheme, secrets)
             outputs[backend] = {
                 pid: out[0] for pid, out in result.outputs.items()
             }
@@ -198,22 +192,24 @@ class TestPrivateBatchReconstruction:
         return session, columns, receiver_views, secrets
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_honest_columns_reconstruct(self, backend):
-        scheme = IdealVSS(gf2k(16), n=5, t=2, backend=backend)
-        session, columns, views, secrets = self._share_batch(
-            scheme, range(70)
-        )
+    def test_honest_columns_reconstruct(self, pure_python, backend):
+        scheme = IdealVSS(gf2k(16), n=5, t=2)
+        with pure_python(backend == "scalar"):
+            session, columns, views, secrets = self._share_batch(
+                scheme, range(70)
+            )
         opened = session.reconstruct_private_batch(
             columns, count=len(secrets), verifier=0, views=views
         )
         assert opened == secrets
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_corrupted_position_yields_none(self, backend):
-        scheme = IdealVSS(gf2k(16), n=5, t=2, backend=backend)
-        session, columns, views, secrets = self._share_batch(
-            scheme, range(70)
-        )
+    def test_corrupted_position_yields_none(self, pure_python, backend):
+        scheme = IdealVSS(gf2k(16), n=5, t=2)
+        with pure_python(backend == "scalar"):
+            session, columns, views, secrets = self._share_batch(
+                scheme, range(70)
+            )
         # A minority of forged payloads at position 3 is corrected...
         for pid in (1, 2):
             sender, terms, value = columns[pid][3]
@@ -230,6 +226,39 @@ class TestPrivateBatchReconstruction:
         )
         assert opened[3] is None
         assert opened[:3] + opened[4:] == secrets[:3] + secrets[4:]
+
+    @pytest.mark.parametrize("with_views", [True, False],
+                             ids=["views", "no-views"])
+    @pytest.mark.parametrize("k", [16, 33])
+    def test_short_column_skipped_per_position(self, k, with_views):
+        """A short column (only another sender's can be short) takes part
+        at the positions it has and is skipped at the others."""
+        # n=5, t=2, no receiver column: sender 3 is cut to 10 entries
+        # and sender 4 forges position 5.  Positions < 10 have senders
+        # 1, 2, 3 honest; the rest have 1, 2, 4 — quorum everywhere.
+        scheme = IdealVSS(gf2k(k), n=5, t=2)
+        session, columns, views, secrets = self._share_batch(
+            scheme, range(1, 81)
+        )
+        del columns[0]
+        columns[3] = columns[3][:10]
+        sender, terms, value = columns[4][5]
+        columns[4][5] = (sender, terms, value ^ 1)
+        kwargs = {"views": views} if with_views else {}
+        assert session.reconstruct_private_batch(
+            columns, count=80, verifier=0, **kwargs
+        ) == secrets
+        # n=3, t=1: two full honest columns meet quorum at every
+        # position next to a cut one.
+        scheme = IdealVSS(gf2k(k), n=3, t=1)
+        session, columns, views, secrets = self._share_batch(
+            scheme, range(1, 81)
+        )
+        columns[2] = columns[2][:10]
+        kwargs = {"views": views} if with_views else {}
+        assert session.reconstruct_private_batch(
+            columns, count=80, verifier=0, **kwargs
+        ) == secrets
 
     def test_generic_path_without_views(self):
         scheme = IdealVSS(gf2k(16), n=5, t=2)
